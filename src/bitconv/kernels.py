@@ -26,6 +26,13 @@ channels, gather every tap once into a packed im2col matrix of shape
 (N*Ho*Wo, kh*kw*Wc) words, and reduce it against the (O, kh*kw*Wc) filter
 matrix by XOR + popcount in row blocks -- the binary "GEMM" layout of
 XNOR-Net (Rastegari et al., 2016) and daBNN (Zhang et al., 2019).
+
+The filter side of each layout -- the depth-wise window words, or the
+regular kernel's filter word matrix and tap popcounts -- depends only on the
+weight bits, so a BinaryConvWeights builds it the first time a kernel uses
+it and keeps it for every later call, as daBNN packs its weights once ahead
+of inference. The packed bits of a BinaryConvWeights must therefore not
+change after its first use; new weights need a new BinaryConvWeights.
 """
 
 from __future__ import annotations
@@ -88,10 +95,18 @@ class ConvSpec:
 
 @dataclass
 class BinaryConvWeights:
-    """Sign-packed filters plus the per-output-channel magnitude."""
+    """Sign-packed filters plus the per-output-channel magnitude.
+
+    The kernel operand built from the filter bits (one per kernel kind:
+    depth-wise window words, or the regular filter matrix and tap
+    popcounts) is built on first use and kept, so ``packed`` must not
+    change after that. ``with_magnitude`` shares the operands, which
+    belong to the bits alone.
+    """
 
     packed: BitTensor
     magnitude: np.ndarray = field(default=None)
+    _operands: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         o = self.packed.shape[0]
@@ -102,6 +117,19 @@ class BinaryConvWeights:
         ).copy()
         if np.any(self.magnitude < 0):
             raise ValueError("magnitude must be >= 0")
+
+    def with_magnitude(self, magnitude) -> "BinaryConvWeights":
+        """The same filter bits, and their kernel operands, under another magnitude."""
+        out = BinaryConvWeights(self.packed, magnitude)
+        out._operands = self._operands
+        return out
+
+    def operand(self, depthwise: bool):
+        """The filter side of the depth-wise or regular kernel, built once."""
+        if depthwise not in self._operands:
+            wbits = unpack_bits(self.packed)
+            self._operands[depthwise] = _dw_operand(wbits) if depthwise else _regular_operand(wbits)
+        return self._operands[depthwise]
 
 
 def binarize_weights(w, magnitude=None) -> BinaryConvWeights:
@@ -247,16 +275,25 @@ def _window_dtype(taps: int) -> np.dtype:
 _BLOCK_ELEMS = 1 << 16  # output elements (rows x filters, or planes x positions) per block
 
 
-def _dw_conv_int(xbits: np.ndarray, wbits: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Integer depth-wise conv of +/-1 operands given as 0/1 bit arrays.
+def _dw_operand(wbits: np.ndarray) -> np.ndarray:
+    """Window word of each channel's filter: bit t is tap t (row-major)."""
+    c, _, kh, kw = wbits.shape
+    dt = _window_dtype(kh * kw)
+    taps = wbits.reshape(c, kh * kw).astype(dt)
+    return np.bitwise_or.reduce(taps << np.arange(kh * kw, dtype=dt), axis=1)
 
-    Packs each window's taps into a single word per output position and
-    reduces it with one XNOR + popcount -- the whole window dot is a pair
-    of word ops. The word is the narrowest unsigned type that holds
-    kh*kw bits (uint16 for 3x3, up to uint64 for 64 taps), so every plane
-    op moves as few bytes as the window allows. The (sample, channel)
-    planes are processed in blocks whose buffers are allocated once and
-    stay cache-resident. Requires kh*kw <= 64.
+
+def _dw_conv_int(xbits: np.ndarray, wwin: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """Integer depth-wise conv of +/-1 operands.
+
+    xbits is the 0/1 input bit array and wwin the filter window words of
+    _dw_operand. Packs each window's taps into a single word per output
+    position and reduces it with one XNOR + popcount -- the whole window dot
+    is a pair of word ops. The word is the narrowest unsigned type that
+    holds kh*kw bits (uint16 for 3x3, up to uint64 for 64 taps), so every
+    plane op moves as few bytes as the window allows. The (sample, channel)
+    planes are processed in blocks whose buffers are allocated once and stay
+    cache-resident. Requires kh*kw <= 64.
     """
     n, c, h, w = xbits.shape
     kh, kw = spec.kernel
@@ -265,11 +302,9 @@ def _dw_conv_int(xbits: np.ndarray, wbits: np.ndarray, spec: ConvSpec) -> np.nda
     ho, wo = spec.out_hw(h, w)
     valid = _tap_validity(h, w, spec)
     live = np.zeros((ho, wo), dtype=dt)
-    wwin = np.zeros(c, dtype=dt)
     for t in range(kh * kw):
         di, dj = divmod(t, kw)
         live |= valid[di, dj].astype(dt) << dt.type(t)
-        wwin |= wbits[:, 0, di, dj].astype(dt) << dt.type(t)
     wrows = np.tile(wwin, n)  # filter window of each (sample, channel) plane
 
     planes = xbits.reshape(n * c, h, w)
@@ -297,15 +332,25 @@ def _dw_conv_int(xbits: np.ndarray, wbits: np.ndarray, spec: ConvSpec) -> np.nda
     return out.reshape(n, c, ho, wo)
 
 
-def _regular_conv_int(xbits: np.ndarray, wbits: np.ndarray, spec: ConvSpec) -> np.ndarray:
+def _regular_operand(wbits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Filter word matrix (kh*kw*Wc, O) and per-tap popcounts (O, kh*kw)."""
+    o, _, kh, kw = wbits.shape
+    ww = _pack_rows(np.moveaxis(wbits, 1, -1).astype(bool))  # (O, kh, kw, Wc)
+    wcols = np.ascontiguousarray(ww.reshape(o, -1).T)
+    wpop = np.bitwise_count(ww).sum(axis=-1, dtype=np.int32).reshape(o, kh * kw)
+    return wcols, wpop
+
+
+def _regular_conv_int(xbits: np.ndarray, operand, spec: ConvSpec) -> np.ndarray:
     """Integer regular conv of +/-1 operands as one XNOR-popcount "GEMM".
 
-    The channel axis is packed into 64-bit words (Wc per position) and
-    every tap of every output position is gathered once into an im2col
-    matrix of shape (N*Ho*Wo, kh*kw*Wc) words; the filters form a
-    (O, kh*kw*Wc) matrix in the same order. Row blocks of the im2col are
-    reduced against all filters by XOR + popcount, one word column at a
-    time, so the block-sized temporaries stay cache-resident.
+    xbits is the 0/1 input bit array and operand the (wcols, wpop) pair of
+    _regular_operand. The channel axis is packed into 64-bit words (Wc per
+    position) and every tap of every output position is gathered once into
+    an im2col matrix of shape (N*Ho*Wo, kh*kw*Wc) words; wcols holds the
+    filters in the same order, transposed to (kh*kw*Wc, O). Row blocks of
+    the im2col are reduced against all filters by XOR + popcount, one word
+    column at a time, so the block-sized temporaries stay cache-resident.
 
     The reduction counts disagreements. Channel pad bits are zero in both
     operands, so they never disagree. A dead (padding) tap gathers an
@@ -330,8 +375,7 @@ def _regular_conv_int(xbits: np.ndarray, wbits: np.ndarray, spec: ConvSpec) -> n
         for dj in range(kw):
             cols[:, :, :, di, dj] = xw[:, di : di + (ho - 1) * s + 1 : s, dj : dj + (wo - 1) * s + 1 : s]
     cols = cols.reshape(n * ho * wo, -1)
-    ww = _pack_rows(np.moveaxis(wbits, 1, -1).astype(bool))  # (O, kh, kw, Wc)
-    wcols = np.ascontiguousarray(ww.reshape(o, -1).T)  # (kh*kw*Wc, O)
+    wcols, wpop = operand
 
     rows = cols.shape[0]
     block = max(1, _BLOCK_ELEMS // o)
@@ -350,7 +394,6 @@ def _regular_conv_int(xbits: np.ndarray, wbits: np.ndarray, spec: ConvSpec) -> n
 
     # disagreements that dead taps added, only at the edge positions that have them
     valid = _tap_validity(h, w, spec).reshape(kh * kw, ho * wo)
-    wpop = np.bitwise_count(ww).sum(axis=-1, dtype=np.int32).reshape(o, kh * kw)
     edge = np.flatnonzero(~valid.all(axis=0))
     dead = np.zeros((o, ho * wo), dtype=np.int32)
     dead[:, edge] = wpop @ (~valid[:, edge]).astype(np.int32)
@@ -367,7 +410,8 @@ def conv_binary(xb: BitTensor, w: BinaryConvWeights, spec: ConvSpec) -> np.ndarr
     Accumulates in 32-bit integers via XNOR-popcount and applies the
     per-output-channel magnitude once at the end, so the result equals the
     float kernel on decoded operands exactly. Supports groups in
-    {1, in_channels}.
+    {1, in_channels}. The filter side of the kernel comes from
+    w.operand, built on w's first use.
     """
     if spec.groups != 1 and not spec.is_depthwise:
         raise ValueError(f"unsupported groups {spec.groups} (use 1 or depth-wise)")
@@ -376,11 +420,8 @@ def conv_binary(xb: BitTensor, w: BinaryConvWeights, spec: ConvSpec) -> np.ndarr
     if w.packed.shape != spec.weight_shape():
         raise ValueError(f"weights {w.packed.shape} do not match spec {spec.weight_shape()}")
     xbits = unpack_bits(xb)
-    wbits = unpack_bits(w.packed)
-    if spec.is_depthwise:
-        acc = _dw_conv_int(xbits, wbits, spec)
-    else:
-        acc = _regular_conv_int(xbits, wbits, spec)
+    kernel = _dw_conv_int if spec.is_depthwise else _regular_conv_int
+    acc = kernel(xbits, w.operand(spec.is_depthwise), spec)
     beta = w.magnitude
     return acc * beta[None, :, None, None]
 
@@ -388,16 +429,11 @@ def conv_binary(xb: BitTensor, w: BinaryConvWeights, spec: ConvSpec) -> np.ndarr
 def conv_dual_dw(x, w1: BinaryConvWeights, w2: BinaryConvWeights, q, spec: ConvSpec) -> np.ndarray:
     """Dual binary depth-wise conv: two parallel sign-quantized branches.
 
-    Each branch packs the shared input with its own rounding boundary
-    (q.alpha1 / q.alpha2) and runs its own binary conv; the outputs sum.
+    conv_multi_dw with branches (w1, q.alpha1, w1.magnitude) and
+    (w2, q.alpha2, w2.magnitude): each packs the shared input with its own
+    rounding boundary and the outputs sum.
     """
-    if not spec.is_depthwise:
-        raise ValueError("dual conv is defined for depth-wise specs")
-    if w1.packed.shape != w2.packed.shape:
-        raise ValueError(f"branch geometry differs: {w1.packed.shape} vs {w2.packed.shape}")
-    y = conv_binary(pack(x, q.alpha1), w1, spec)
-    y += conv_binary(pack(x, q.alpha2), w2, spec)
-    return y
+    return conv_multi_dw(x, [(w1, q.alpha1, w1.magnitude), (w2, q.alpha2, w2.magnitude)], spec)
 
 
 def conv_multi_dw(x, branches, spec: ConvSpec) -> np.ndarray:
@@ -405,8 +441,8 @@ def conv_multi_dw(x, branches, spec: ConvSpec) -> np.ndarray:
 
     branches is a list of (BinaryConvWeights, threshold, magnitude)
     triples; each branch packs the shared input at its own threshold and
-    scales its integer output by its own magnitude. N=2 reproduces
-    conv_dual_dw bit for bit.
+    scales its integer output by its own magnitude, reusing the kernel
+    operand its weights already hold.
     """
     if not spec.is_depthwise:
         raise ValueError("multi conv is defined for depth-wise specs")
@@ -414,8 +450,7 @@ def conv_multi_dw(x, branches, spec: ConvSpec) -> np.ndarray:
         raise ValueError(f"branch count must be in [1, 4], got {len(branches)}")
     out = None
     for weights, threshold, magnitude in branches:
-        w = BinaryConvWeights(weights.packed, magnitude)
-        y = conv_binary(pack(x, threshold), w, spec)
+        y = conv_binary(pack(x, threshold), weights.with_magnitude(magnitude), spec)
         if out is None:
             out = y
         else:

@@ -119,12 +119,6 @@ def batchnorm_backward(gy, cache):
     return gx, dgamma, dbeta
 
 
-def batchnorm_backward_eval(gy, p: BNParams):
-    """Backward through eval-mode BN (running stats are constants)."""
-    alpha = p.alpha_bn().reshape(1, -1, 1, 1)
-    return gy * alpha
-
-
 def avg_pool2(x) -> np.ndarray:
     """2x2 average pooling with stride 2 (spatial dims must be even)."""
     t = as_nchw(x)

@@ -11,7 +11,11 @@ Every layer implements its own backward pass; quantizers use the clipped
 straight-through estimator and the magnitudes/thresholds receive the
 gradients of the continuous surrogate. Inference can also run through the
 bit-packed kernels (forward_packed), which matches the float path bit for
-bit because binary accumulation is integer-exact.
+bit because binary accumulation is integer-exact. A binary layer packs its
+sign filters, and the kernels build their filter operands from them, once
+per set of latent weights: the packed form is kept with a copy of the
+weights it came from and rebuilt only when the live weights differ from
+that copy, whatever changed them.
 """
 
 from __future__ import annotations
@@ -121,6 +125,7 @@ class MultiBinaryConv:
         self.gbeta = [np.zeros_like(b) for b in self.beta]
         self.gthr = [np.zeros_like(t) for t in self.thr]
         self._cache = None
+        self._packed = None  # (latent weights copied at packing, packed filters)
         # quantization-decision freezing for curvature probes: None (live),
         # "capture" (record decisions this forward), "use" (replay them)
         self.freeze_mode = None
@@ -216,14 +221,26 @@ class MultiBinaryConv:
         """Inference through the bit-packed kernels (weights_binary only)."""
         if not self.weights_binary:
             raise RuntimeError("packed forward requires binarized weights")
+        packed = self._packed_filters()
         if self.spec.is_depthwise:
-            branches = [
-                (BinaryConvWeights(T.pack(self.w[i], 0.0), self.beta[i]), self.thr[i], self.beta[i])
-                for i in range(self.n)
-            ]
+            branches = [(packed[i], self.thr[i], self.beta[i]) for i in range(self.n)]
             return conv_multi_dw(x, branches, self.spec)
-        bw = BinaryConvWeights(T.pack(self.w[0], 0.0), self.beta[0])
-        return conv_binary(T.pack(x, self.thr[0]), bw, self.spec)
+        return conv_binary(T.pack(x, self.thr[0]), packed[0].with_magnitude(self.beta[0]), self.spec)
+
+    def _packed_filters(self) -> list[BinaryConvWeights]:
+        """Packed sign filters of every branch, repacked only when the weights changed.
+
+        The kept filters (each a BinaryConvWeights, which also keeps its
+        kernel operand) are compared by value with a copy of the weights
+        they were packed from, so an optimizer step, the post_step branch
+        permutation, set_flat_params, load_state and a direct write all
+        show. Thresholds and magnitudes are not kept: callers read them live.
+        """
+        if self._packed is None or not all(
+                np.array_equal(w0, w) for w0, w in zip(self._packed[0], self.w)):
+            self._packed = ([w.copy() for w in self.w],
+                            [BinaryConvWeights(T.pack(w, 0.0)) for w in self.w])
+        return self._packed[1]
 
     def backward(self, gy):
         if self._cache[0] == "frozen":
@@ -778,9 +795,12 @@ class Network:
         mine.update(dict(self.named_buffers()))
         if set(mine) != set(state):
             missing = set(mine) ^ set(state)
-            raise ValueError(f"state does not match network: mismatched keys {sorted(missing)[:4]}...")
+            raise CheckpointError(f"state does not match network: mismatched keys {sorted(missing)[:4]}...")
         for name, arr in mine.items():
-            arr[...] = state[name].reshape(arr.shape).astype(arr.dtype)
+            if np.shape(state[name]) != arr.shape:
+                raise CheckpointError(f"{name} has shape {np.shape(state[name])}, network wants {arr.shape}")
+        for name, arr in mine.items():
+            arr[...] = state[name]
 
 
 def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Network:
@@ -896,19 +916,23 @@ def load(data: bytes) -> ModelCheckpoint:
     raw = fh.read(int(mlen))
     if len(raw) != int(mlen):
         raise CheckpointError("truncated checkpoint manifest")
-    manifest = json.loads(raw.decode())
+    try:
+        manifest = json.loads(raw)
+        crc, entries = manifest["payload_crc32"], manifest["entries"]
+        config = ModelConfig.from_json(manifest["config"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"malformed checkpoint manifest: {e!r}") from e
     body = fh.read()
-    if zlib.crc32(body) != manifest["payload_crc32"]:
+    if zlib.crc32(body) != crc:
         raise CheckpointError("checkpoint payload failed checksum")
     bio = io.BytesIO(body)
     tensors = {}
-    for entry in manifest["entries"]:
-        try:
-            arr = T.read_dense(bio)
-        except T.ContainerError as e:
-            raise CheckpointError(str(e)) from e
-        tensors[entry["name"]] = arr.reshape(entry["shape"])
-    return ModelCheckpoint(ModelConfig.from_json(manifest["config"]), tensors, int(version))
+    try:
+        for entry in entries:
+            tensors[entry["name"]] = T.read_dense(bio).reshape(entry["shape"])
+    except (KeyError, TypeError, ValueError) as e:  # ValueError includes T.ContainerError
+        raise CheckpointError(f"bad checkpoint entry: {e!r}") from e
+    return ModelCheckpoint(config, tensors, int(version))
 
 
 def restore(ckpt: ModelCheckpoint, dtype=np.float32) -> Network:

@@ -181,6 +181,59 @@ class TestConvBinary:
             assert np.array_equal(got, want), spec
 
 
+class TestKernelOperand:
+    """Each BinaryConvWeights builds its kernel operand once and keeps it."""
+
+    @staticmethod
+    def oracle(xb, bw, spec):
+        return K.conv_float(T.unpack(xb), T.unpack(bw.packed), spec) * bw.magnitude.reshape(1, -1, 1, 1)
+
+    def test_one_bank_serves_regular_and_depthwise(self):
+        # a (8, 1, 3, 3) bank is a regular conv on one channel and a
+        # depth-wise conv on eight; each kind keeps its own operand
+        rng = np.random.default_rng(12)
+        regular = K.ConvSpec(1, 8, (3, 3), padding=1)
+        depthwise = K.ConvSpec(8, 8, (3, 3), padding=1, groups=8)
+        x1 = T.pack(rng.standard_normal((2, 1, 6, 6)), 0.0)
+        x8 = T.pack(rng.standard_normal((2, 8, 6, 6)), 0.0)
+        w = rng.standard_normal((8, 1, 3, 3))
+        beta = rng.random(8)
+        for order in ((regular, depthwise), (depthwise, regular)):
+            bw = K.binarize_weights(w, beta)
+            for spec in order + order:
+                xb = x8 if spec.is_depthwise else x1
+                assert np.array_equal(K.conv_binary(xb, bw, spec), self.oracle(xb, bw, spec)), spec
+
+    def test_reused_weights_match_fresh(self):
+        rng = np.random.default_rng(13)
+        w = rng.standard_normal((6, 4, 3, 3))
+        beta = rng.random(6)
+        spec = K.ConvSpec(4, 6, (3, 3), stride=2, padding=1)
+        bw = K.binarize_weights(w, beta)
+        for _ in range(2):
+            xb = T.pack(rng.standard_normal((1, 4, 7, 7)), 0.0)
+            assert np.array_equal(K.conv_binary(xb, bw, spec),
+                                  K.conv_binary(xb, K.binarize_weights(w, beta), spec))
+
+    def test_rewrapped_branch_matches_fresh(self):
+        # conv_multi_dw re-wraps each branch with its own magnitude; the
+        # re-wrap shares the operand of the bits, never the magnitude
+        rng = np.random.default_rng(14)
+        c = 5
+        spec = K.ConvSpec(c, c, (3, 3), padding=1, groups=c)
+        x = rng.standard_normal((2, c, 6, 6))
+        w = rng.standard_normal(spec.weight_shape())
+        thr, beta = rng.uniform(-0.3, 0.3, c), rng.random(c)
+        bw = K.binarize_weights(w)
+        for _ in range(2):
+            got = K.conv_multi_dw(x, [(bw, thr, beta)], spec)
+            want = K.conv_binary(T.pack(x, thr), K.binarize_weights(w, beta), spec)
+            assert np.array_equal(got, want)
+        assert np.array_equal(bw.magnitude, np.ones(c))
+        rewrapped = bw.with_magnitude(beta)
+        assert np.array_equal(K.conv_binary(T.pack(x, thr), rewrapped, spec), want)
+
+
 class TestDualAndMulti:
     def test_zero_branch_degenerates(self):
         rng = np.random.default_rng(5)

@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
+from bitconv import kernels as K
 from bitconv import model as M
+from bitconv import tensor as T
 from bitconv.analysis import count_ops
 from bitconv.kernels import ConvSpec
 from bitconv.layers import BlockTopology
@@ -156,12 +160,118 @@ class TestCheckpoint:
         with pytest.raises(M.CheckpointError):
             M.load(bytes(data))
 
+    @staticmethod
+    def with_manifest(edit):
+        """A saved checkpoint whose manifest bytes are edit(manifest dict)."""
+        data = M.save(M.checkpoint_of(M.build(small_config(), seed=0)))
+        mlen = int.from_bytes(data[8:12], "little")
+        raw = edit(json.loads(data[12 : 12 + mlen]))
+        return data[:8] + len(raw).to_bytes(4, "little") + raw + data[12 + mlen :]
+
+    def test_bad_manifest_json(self):
+        with pytest.raises(M.CheckpointError):
+            M.load(self.with_manifest(lambda m: b"{not json"))
+
+    @pytest.mark.parametrize("key", ["payload_crc32", "entries"])
+    def test_missing_manifest_key(self, key):
+        def drop(m):
+            del m[key]
+            return json.dumps(m).encode()
+        with pytest.raises(M.CheckpointError):
+            M.load(self.with_manifest(drop))
+
+    def test_declared_shape_does_not_fit_data(self):
+        def grow(m):
+            m["entries"][0]["shape"] = [999]
+            return json.dumps(m).encode()
+        with pytest.raises(M.CheckpointError):
+            M.load(self.with_manifest(grow))
+
+    def test_same_size_shape_is_not_reshaped(self):
+        def transpose(m):
+            entry = next(e for e in m["entries"] if len(e["shape"]) == 4)
+            entry["shape"] = entry["shape"][::-1]
+            return json.dumps(m).encode()
+        ckpt = M.load(self.with_manifest(transpose))  # the size still fits the data
+        with pytest.raises(M.CheckpointError):
+            M.restore(ckpt)
+
     def test_every_parameter_present_exactly_once(self):
         net = M.build(small_config(), seed=0)
         names = [n for n, _ in net.named_params()] + [n for n, _ in net.named_buffers()]
         assert len(names) == len(set(names))
         ck = M.checkpoint_of(net)
         assert set(ck.tensors) == set(names)
+
+
+def binary_layers(net):
+    return [l for _, l in net._walk() if isinstance(l, M.MultiBinaryConv)]
+
+
+class TestPackedFilterReuse:
+    """The packed forward keeps its packed filters only while the latent
+    weights they came from are unchanged, however the weights change."""
+
+    @staticmethod
+    def warm(seed=1, config=None):
+        net = M.build(config or small_config(), seed=seed, dtype=np.float64)
+        x = np.random.default_rng(seed).standard_normal((2, *net.config.input_shape))
+        net.forward(x, packed=True)
+        return net, x
+
+    @staticmethod
+    def assert_packed_is_float(net, x):
+        assert np.array_equal(net.forward(x, packed=True), net.forward(x))
+
+    def test_direct_weight_write(self):
+        net, x = self.warm()
+        for layer in binary_layers(net):
+            layer.w[-1][...] *= -1
+        self.assert_packed_is_float(net, x)
+
+    def test_train_step_with_branch_permutation(self):
+        net, x = self.warm(config=ablation_config("prebn_dual"))
+        dual = [l for l in binary_layers(net) if l.n == 2]
+        for layer in dual:  # crossed boundaries make post_step swap whole branches
+            layer.thr[0][0], layer.thr[1][0] = 0.9, -0.9
+        tr, va = gen_synthetic("blobs", 32, 3, seed=0)
+        train(net, (tr, va), TrainConfig(epochs=1, lr=1e-3, batch_size=len(tr), seed=0))
+        assert all(np.all(l.thr[0] <= l.thr[1]) for l in dual)
+        self.assert_packed_is_float(net, x)
+
+    def test_set_flat_params(self):
+        net, x = self.warm()
+        other = M.build(small_config(), seed=7, dtype=np.float64)
+        net.set_flat_params(other.get_flat_params())
+        self.assert_packed_is_float(net, x)
+
+    def test_restore_of_another_checkpoint(self):
+        net, x = self.warm()
+        ckpt = M.load(M.save(M.checkpoint_of(M.build(small_config(), seed=7))))
+        net.load_state(ckpt.tensors)
+        self.assert_packed_is_float(net, x)
+        restored = M.restore(ckpt, dtype=np.float64)
+        assert np.array_equal(restored.forward(x, packed=True), net.forward(x, packed=True))
+
+    def test_second_forward_packs_no_weights(self, monkeypatch):
+        seen = []
+        pack = T.pack
+
+        def counting(t, threshold=0.0):
+            seen.append(t)
+            return pack(t, threshold)
+
+        monkeypatch.setattr(T, "pack", counting)
+        monkeypatch.setattr(K, "pack", counting)
+        net = M.build(small_config(), seed=1, dtype=np.float64)
+        x = np.random.default_rng(1).standard_normal((2, 1, 8, 8))
+        net.forward(x, packed=True)
+        first = len(seen)
+        seen.clear()
+        net.forward(x, packed=True)
+        weights = [w for layer in binary_layers(net) for w in layer.w]
+        assert not any(t is w for t in seen for w in weights)
+        assert len(seen) == first - len(weights)
 
 
 class TestBranchResort:
