@@ -5,8 +5,9 @@ A from-scratch numpy library with five capability groups:
 * tensor     -- dense NCHW tensors, bit-packed sign tensors, XNOR-popcount
 * quantize   -- sign and three-level quantizers, STE gradients, Otsu utilities
 * kernels    -- float reference and bit-packed binary conv kernels
-* layers     -- batch norm, residual block topologies, shifted PReLU
-* model      -- desk-scale network builder and checkpoints
+* layers     -- residual block topologies and skip-path helpers
+* model      -- layers (batch norm, residual block, shifted PReLU), the
+                desk-scale network builder, and checkpoints
 * train      -- quantization-aware trainer and synthetic data
 * analysis   -- cost model, Jacobian/condition lab, Hessian top-k, landscapes
 * bench      -- single-threaded latency micro-benchmarks
@@ -17,8 +18,7 @@ from .quantize import (BinQuantParams, DualQuantParams, binarize, ternarize,
                        effective_bits, ste_grad_sign, otsu_threshold, ternarize_image)
 from .kernels import (ConvSpec, BinaryConvWeights, conv_float, conv_binary,
                       conv_dual_dw, conv_multi_dw)
-from .layers import (BNParams, BlockTopology, batchnorm_forward, pre_bn_block,
-                     post_bn_block, broadcast_residual, shifted_prelu)
+from .layers import BlockTopology, broadcast_residual
 from .model import ModelConfig, ModelCheckpoint, build, save, load
 # NB: the train() entry point stays at bitconv.train.train so the submodule
 # name is not shadowed by a function attribute.
@@ -35,8 +35,7 @@ __all__ = [
     "effective_bits", "ste_grad_sign", "otsu_threshold", "ternarize_image",
     "ConvSpec", "BinaryConvWeights", "conv_float", "conv_binary",
     "conv_dual_dw", "conv_multi_dw",
-    "BNParams", "BlockTopology", "batchnorm_forward", "pre_bn_block",
-    "post_bn_block", "broadcast_residual", "shifted_prelu",
+    "BlockTopology", "broadcast_residual",
     "ModelConfig", "ModelCheckpoint", "build", "save", "load",
     "TrainConfig", "Dataset", "TrainReport", "backward", "gen_synthetic",
     "CostReport", "ConditionReport", "count_ops", "jacobian_of_block",

@@ -39,13 +39,18 @@ class LayerCost:
     def ops(self) -> float:
         return self.bops / 64 + self.flops
 
+    @classmethod
+    def of(cls, name: str, kind: str, macs: int, binary: bool) -> "LayerCost":
+        """A layer's MACs counted as BOPs if it is binary, else as FLOPs."""
+        return cls(name, kind, macs if binary else 0, 0 if binary else macs)
+
 
 @dataclass
 class CostReport:
     layers: list[LayerCost] = field(default_factory=list)
 
     def add(self, name: str, kind: str, macs: int, binary: bool) -> None:
-        self.layers.append(LayerCost(name, kind, macs if binary else 0, 0 if binary else macs))
+        self.layers.append(LayerCost.of(name, kind, macs, binary))
 
     @property
     def bops(self) -> int:
@@ -69,13 +74,15 @@ class CostReport:
 
 
 def conv_cost(spec: ConvSpec, in_hw: tuple[int, int], binary: bool,
-              name: str = "conv", kind: str | None = None) -> LayerCost:
-    """MAC count of one conv layer at the given input resolution (batch 1)."""
-    macs = spec.macs(*in_hw)
-    if kind is None:
-        kh, kw = spec.kernel
-        kind = f"dw{kh}x{kw}" if spec.is_depthwise else f"conv{kh}x{kw}"
-    return LayerCost(name, kind, macs if binary else 0, 0 if binary else macs)
+              name: str = "conv", branches: int = 1) -> LayerCost:
+    """MAC count of one conv layer of N parallel branches at the given input
+    resolution (batch 1), of kind "dw3x3", "pw1x1" or "conv3x3" style."""
+    kh, kw = spec.kernel
+    if spec.is_depthwise:
+        kind = f"dw{kh}x{kw}"
+    else:
+        kind = f"pw{kh}x{kw}" if (kh, kw) == (1, 1) else f"conv{kh}x{kw}"
+    return LayerCost.of(name, kind, spec.macs(*in_hw) * branches, binary)
 
 
 def count_ops(target, input_shape=None) -> CostReport:
@@ -101,7 +108,8 @@ _TABLE1_GEOMETRY = dict(hw=(56, 56), channels=128)
 
 def reference_op_table() -> list[dict]:
     """The four canonical rows: {full-precision, binary} x {regular, depth-wise}
-    3x3 conv at 56x56 resolution with 128 input and output channels."""
+    3x3 conv at 56x56 resolution with 128 input and output channels. Each
+    row carries its LayerCost under "cost"."""
     h, w = _TABLE1_GEOMETRY["hw"]
     c = _TABLE1_GEOMETRY["channels"]
     regular = ConvSpec(c, c, (3, 3), stride=1, padding=1)
@@ -113,10 +121,9 @@ def reference_op_table() -> list[dict]:
         ("binary_regular_3x3", regular, True),
         ("binary_depthwise_3x3", dw, True),
     ]:
-        macs = spec.macs(h, w)
-        lc = LayerCost(name, "conv3x3" if not spec.is_depthwise else "dw3x3",
-                       macs if binary else 0, 0 if binary else macs)
-        rows.append({"name": name, "binary": binary, "macs": macs, "ops": lc.ops})
+        lc = conv_cost(spec, (h, w), binary, name)
+        rows.append({"name": name, "binary": binary, "macs": spec.macs(h, w), "ops": lc.ops,
+                     "cost": lc})
     return rows
 
 

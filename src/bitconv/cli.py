@@ -55,10 +55,7 @@ def cmd_cost(args) -> int:
         for r in rows:
             print(f"{r['name']:24s} {r['macs']:14d} {r['ops']:14.1f}")
         path = os.path.join(out, "cost.csv")
-        report = analysis.CostReport()
-        for r in rows:
-            report.add(r["name"], "conv3x3", r["macs"], r["binary"])
-        report.write_csv(path)
+        analysis.CostReport([r["cost"] for r in rows]).write_csv(path)
         print(f"wrote {path}")
         return 0
     config = _model_config(args)

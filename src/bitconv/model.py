@@ -29,7 +29,7 @@ import numpy as np
 
 from . import layers as L
 from . import tensor as T
-from .analysis import LayerCost
+from .analysis import LayerCost, conv_cost
 from .kernels import (BinaryConvWeights, ConvSpec, conv_binary, conv_float,
                       conv_float_grad_input, conv_float_grad_weight, conv_multi_dw)
 from .layers import BlockTopology
@@ -45,7 +45,35 @@ CKPT_MAGIC = b"BDCK"
 # ---------------------------------------------------------------------------
 
 
-class FloatConv:
+class Layer:
+    """Defaults for a layer: no parameters, buffers or cost, and the output
+    keeps the input's spatial size. Subclasses override what they have."""
+
+    def params(self):
+        return {}
+
+    def grads(self):
+        return {}
+
+    def filter_params(self):
+        """Names of the filter weights: the ones weight decay and the
+        landscape directions act on."""
+        return set()
+
+    def buffers(self):
+        return {}
+
+    def layer_costs(self, in_hw):
+        return []
+
+    def out_hw(self, in_hw):
+        return in_hw
+
+    def post_step(self):
+        pass
+
+
+class FloatConv(Layer):
     """Full-precision convolution layer (no bias; BN follows)."""
 
     def __init__(self, name: str, spec: ConvSpec, rng, dtype=np.float32):
@@ -65,9 +93,6 @@ class FloatConv:
     def filter_params(self):
         return {"w"}
 
-    def decay_params(self):
-        return {"w"}
-
     def forward(self, x, training=False):
         self._x = x
         return conv_float(x, self.w, self.spec)
@@ -80,20 +105,13 @@ class FloatConv:
         return conv_float_grad_input(gy, self.w, self.spec, self._x.shape[2:])
 
     def layer_costs(self, in_hw):
-        return [LayerCost(self.name, self._kind(), 0, self.spec.macs(*in_hw))]
-
-    def _kind(self):
-        kh, kw = self.spec.kernel
-        return f"dw{kh}x{kw}" if self.spec.is_depthwise else f"conv{kh}x{kw}"
+        return [conv_cost(self.spec, in_hw, False, self.name)]
 
     def out_hw(self, in_hw):
         return self.spec.out_hw(*in_hw)
 
-    def post_step(self):
-        pass
 
-
-class MultiBinaryConv:
+class MultiBinaryConv(Layer):
     """Binary conv with N parallel sign branches (N=1 for point-wise layers).
 
     Each branch has its own latent weights, per-output-channel magnitude,
@@ -154,9 +172,6 @@ class MultiBinaryConv:
         return out
 
     def filter_params(self):
-        return {f"w{i}" for i in range(self.n)}
-
-    def decay_params(self):
         return {f"w{i}" for i in range(self.n)}
 
     def forward(self, x, training=False):
@@ -303,18 +318,13 @@ class MultiBinaryConv:
             self.w[i][:] = w_s[i]
 
     def layer_costs(self, in_hw):
-        kh, kw = self.spec.kernel
-        kind = f"dw{kh}x{kw}" if self.spec.is_depthwise else f"pw{kh}x{kw}"
-        macs = self.spec.macs(*in_hw) * self.n
-        if self.weights_binary:
-            return [LayerCost(self.name, kind, macs, 0)]
-        return [LayerCost(self.name, kind, 0, macs)]
+        return [conv_cost(self.spec, in_hw, self.weights_binary, self.name, self.n)]
 
     def out_hw(self, in_hw):
         return self.spec.out_hw(*in_hw)
 
 
-class BatchNorm:
+class BatchNorm(Layer):
     """Batch normalization layer with running statistics buffers."""
 
     def __init__(self, name: str, channels: int, dtype=np.float32):
@@ -336,12 +346,6 @@ class BatchNorm:
 
     def grads(self):
         return {"gamma": self.ggamma, "beta": self.gbeta}
-
-    def filter_params(self):
-        return set()
-
-    def decay_params(self):
-        return set()
 
     def buffers(self):
         return {"mu": self.mu, "var": self.var}
@@ -380,17 +384,8 @@ class BatchNorm:
             - xhat * np.einsum("nchw,nchw->c", gxhat, xhat).reshape(1, -1, 1, 1)
         )
 
-    def layer_costs(self, in_hw):
-        return []
 
-    def out_hw(self, in_hw):
-        return in_hw
-
-    def post_step(self):
-        pass
-
-
-class ShiftedPReLU:
+class ShiftedPReLU(Layer):
     """Per-channel RPReLU-style activation: prelu(x - shift_in) + shift_out."""
 
     def __init__(self, name: str, channels: int, dtype=np.float32):
@@ -409,12 +404,6 @@ class ShiftedPReLU:
     def grads(self):
         return {"shift_in": self.gshift_in, "slope": self.gslope, "shift_out": self.gshift_out}
 
-    def filter_params(self):
-        return set()
-
-    def decay_params(self):
-        return set()
-
     def forward(self, x, training=False):
         z = x - self.shift_in.reshape(1, -1, 1, 1)
         self._cache = z
@@ -430,15 +419,6 @@ class ShiftedPReLU:
         gz = gy * dz
         self.gshift_in += -gz.sum(axis=(0, 2, 3))
         return gz
-
-    def layer_costs(self, in_hw):
-        return []
-
-    def out_hw(self, in_hw):
-        return in_hw
-
-    def post_step(self):
-        pass
 
 
 class Block:
@@ -517,22 +497,10 @@ class Block:
         self.conv.post_step()
 
 
-class GlobalAvgPool:
+class GlobalAvgPool(Layer):
     def __init__(self, name: str):
         self.name = name
         self._hw = None
-
-    def params(self):
-        return {}
-
-    def grads(self):
-        return {}
-
-    def filter_params(self):
-        return set()
-
-    def decay_params(self):
-        return set()
 
     def forward(self, x, training=False):
         self._hw = x.shape[2:]
@@ -542,17 +510,8 @@ class GlobalAvgPool:
         h, w = self._hw
         return np.broadcast_to(gy[:, :, None, None], gy.shape + (h, w)).copy() / (h * w)
 
-    def layer_costs(self, in_hw):
-        return []
 
-    def out_hw(self, in_hw):
-        return in_hw
-
-    def post_step(self):
-        pass
-
-
-class Dense:
+class Dense(Layer):
     """Full-precision classifier head: y = x W^T + b."""
 
     def __init__(self, name: str, in_features: int, out_features: int, rng, dtype=np.float32):
@@ -572,9 +531,6 @@ class Dense:
     def filter_params(self):
         return {"w"}
 
-    def decay_params(self):
-        return {"w"}
-
     def forward(self, x, training=False):
         self._x = x
         return x @ self.w.T + self.b
@@ -585,13 +541,7 @@ class Dense:
         return gy @ self.w
 
     def layer_costs(self, in_hw):
-        return [LayerCost(self.name, "linear", 0, self.w.size)]
-
-    def out_hw(self, in_hw):
-        return in_hw
-
-    def post_step(self):
-        pass
+        return [LayerCost.of(self.name, "linear", self.w.size, binary=False)]
 
 
 # ---------------------------------------------------------------------------
@@ -701,22 +651,14 @@ class Network:
 
     def named_buffers(self):
         for prefix, layer in self._walk():
-            if hasattr(layer, "buffers"):
-                for bname, arr in layer.buffers().items():
-                    yield f"{prefix}/{bname}", arr
+            for bname, arr in layer.buffers().items():
+                yield f"{prefix}/{bname}", arr
 
     def is_filter_param(self, name: str) -> bool:
         prefix, pname = name.rsplit("/", 1)
         for p, layer in self._walk():
             if p == prefix:
                 return pname in layer.filter_params()
-        return False
-
-    def is_decay_param(self, name: str) -> bool:
-        prefix, pname = name.rsplit("/", 1)
-        for p, layer in self._walk():
-            if p == prefix:
-                return pname in layer.decay_params()
         return False
 
     def zero_grads(self):

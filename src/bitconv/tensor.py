@@ -17,6 +17,7 @@ tensors). Whether an entry is dense or bit-packed is known from context
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -168,11 +169,19 @@ class ContainerError(ValueError):
     """Raised for malformed BDT1 container data."""
 
 
+_READ_CHUNK = 1 << 24
+
+
 def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ContainerError(f"truncated container: wanted {n} bytes, got {len(data)}")
-    return data
+    """Read n bytes in bounded chunks, so a header that declares more data
+    than the stream holds (or than fits an index) fails as truncated."""
+    data = bytearray()
+    while len(data) < n:
+        chunk = fh.read(min(n - len(data), _READ_CHUNK))
+        if not chunk:
+            raise ContainerError(f"truncated container: wanted {n} bytes, got {len(data)}")
+        data += chunk
+    return bytes(data)
 
 
 def _write_header(fh, shape) -> None:
@@ -200,7 +209,7 @@ def write_dense(fh, t) -> None:
 def read_dense(fh) -> np.ndarray:
     """Read one dense BDT1 entry; returns a float32 (N,C,H,W) array."""
     shape = _read_header(fh)
-    count = int(np.prod(shape))
+    count = math.prod(shape)  # a Python int: a 4 x u32 header can exceed int64
     data = np.frombuffer(_read_exact(fh, 4 * count), dtype="<f4")
     return data.reshape(shape).copy()
 

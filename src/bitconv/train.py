@@ -290,7 +290,7 @@ def train(network: Network, data, cfg: TrainConfig, epoch_hook=None) -> TrainRep
     rng = np.random.default_rng(cfg.seed)
     opt = make_optimizer(cfg)
     report = TrainReport()
-    decay_flags = {name: network.is_decay_param(name) for name, _ in network.named_params()}
+    decay_flags = {name: network.is_filter_param(name) for name, _ in network.named_params()}
 
     if cfg.step == "two-step":
         step1_epochs = min(cfg.epochs - 1, max(1, round(cfg.epochs * cfg.step_split)))

@@ -15,7 +15,7 @@ from bitconv import model as M
 from bitconv import quantize as Q
 from bitconv.bench import OPS, bench_interleaved, bench_suite
 from bitconv.kernels import ConvSpec, conv_float
-from bitconv.layers import BNParams, post_bn_block, pre_bn_block
+from bitconv.layers import BlockTopology
 from bitconv.train import backward, softmax_cross_entropy, stability_experiment
 from bitconv.verify import run_suite
 
@@ -103,6 +103,21 @@ def test_criterion_4_conditioning_theorem():
               f"large-a approximation within 10%; {elapsed:.1f}s")
 
 
+def linear_block(w, spec, topology, alpha, shift, mu):
+    """model.Block over a float64 FloatConv with weights w, a BatchNorm whose
+    scaling factor is exactly alpha (var + eps == 1), and a slope-1 PReLU,
+    which is the identity."""
+    c = spec.in_channels
+    conv = M.FloatConv("conv", spec, np.random.default_rng(0), np.float64)
+    conv.w[...] = w
+    bn = M.BatchNorm("bn", c, np.float64)
+    bn.gamma[...], bn.beta[...], bn.mu[...], bn.var[...] = alpha, shift, mu, 1.0 - bn.eps
+    act = M.ShiftedPReLU("act", c, np.float64)
+    act.slope[...] = 1.0
+    block = M.Block("block", conv, bn, act, topology, c, c)
+    return lambda t: block.forward(t)
+
+
 def test_criterion_5_block_jacobian_structure():
     rng = np.random.default_rng(5)
     worst_post, worst_pre = 0.0, 0.0
@@ -113,13 +128,14 @@ def test_criterion_5_block_jacobian_structure():
         w = rng.standard_normal(spec.weight_shape())
         conv = lambda t, w=w, spec=spec: conv_float(t, w, spec)
         alpha = float(10 ** rng.uniform(0, 1.5))
-        p = BNParams(np.full(c, alpha), rng.standard_normal(c),
-                     rng.standard_normal(c), np.full(c, 1.0 - 1e-5))
+        shift, mu = rng.standard_normal(c), rng.standard_normal(c)
         x0 = rng.standard_normal((1, c, hw, hw))
         eye = np.eye(x0.size)
         jdw = A.jacobian_of_block(conv, x0)
-        j_post = A.jacobian_of_block(lambda t: post_bn_block(t, conv, p), x0)
-        j_pre = A.jacobian_of_block(lambda t: pre_bn_block(t, conv, p), x0)
+        post = linear_block(w, spec, BlockTopology.POST_BN_RESIDUAL, alpha, shift, mu)
+        pre = linear_block(w, spec, BlockTopology.PRE_BN_RESIDUAL, alpha, shift, mu)
+        j_post = A.jacobian_of_block(post, x0)
+        j_pre = A.jacobian_of_block(pre, x0)
         want_post = alpha * jdw + eye
         want_pre = alpha * jdw + (alpha + 1) * eye
         rel_post = np.linalg.norm(j_post - want_post) / np.linalg.norm(want_post)
@@ -128,7 +144,7 @@ def test_criterion_5_block_jacobian_structure():
         assert rel_pre <= 1e-3, rel_pre
         worst_post = max(worst_post, rel_post)
         worst_pre = max(worst_pre, rel_pre)
-    report(5, f"20 blocks: post-BN matches a*Jdw+I (worst {worst_post:.2e}), "
+    report(5, f"20 blocks (model.Block): post-BN matches a*Jdw+I (worst {worst_post:.2e}), "
               f"pre-BN matches a*Jdw+(a+1)*I (worst {worst_pre:.2e})")
 
 

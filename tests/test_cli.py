@@ -37,6 +37,14 @@ class TestCost:
         assert "56448" in out
         assert (tmp_path / "cost.csv").exists()
 
+    def test_table_csv_types(self, tmp_path):
+        assert run(["--out", tmp_path, "cost", "--table1"]) == 0
+        rows = list(csv.DictReader(open(tmp_path / "cost.csv")))
+        types = {r["layer"]: r["type"] for r in rows}
+        assert types == {"fp_regular_3x3": "conv3x3", "fp_depthwise_3x3": "dw3x3",
+                         "binary_regular_3x3": "conv3x3", "binary_depthwise_3x3": "dw3x3",
+                         "total": ""}
+
     def test_model_cost(self, tmp_path, capsys):
         assert run(["--out", tmp_path, "cost", "--variant", "A"]) == 0
         rows = list(csv.DictReader(open(tmp_path / "cost.csv")))

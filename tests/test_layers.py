@@ -3,15 +3,57 @@ import pytest
 
 from bitconv import layers as L
 from bitconv import kernels as K
+from bitconv import model as M
 from bitconv.analysis import jacobian_of_block
 
+PRE, POST = L.BlockTopology.PRE_BN_RESIDUAL, L.BlockTopology.POST_BN_RESIDUAL
 
-def make_bn(channels, alpha, rng=None, mu=None, shift=None):
-    """BN params whose scaling factor is exactly alpha (var + eps == 1)."""
-    rng = rng or np.random.default_rng(0)
+
+def bn_layer(gamma, beta, mu, var):
+    """A float64 model.BatchNorm holding the given per-channel state."""
+    bn = M.BatchNorm("bn", np.size(gamma), np.float64)
+    bn.gamma[...], bn.beta[...], bn.mu[...], bn.var[...] = gamma, beta, mu, var
+    return bn
+
+
+def make_bn(channels, alpha, mu=None, shift=None):
+    """BN whose scaling factor is exactly alpha (var + eps == 1)."""
     mu = np.zeros(channels) if mu is None else mu
     shift = np.zeros(channels) if shift is None else shift
-    return L.BNParams(np.full(channels, alpha), shift, mu, np.full(channels, 1.0 - L.BN_EPS))
+    return bn_layer(np.full(channels, alpha), shift, mu, np.full(channels, 1.0 - L.BN_EPS))
+
+
+def prelu_layer(shift_in, slope, shift_out):
+    act = M.ShiftedPReLU("act", np.size(slope), np.float64)
+    act.shift_in[...], act.slope[...], act.shift_out[...] = shift_in, slope, shift_out
+    return act
+
+
+def dw_conv(w, stride=1):
+    """A float64 3x3 depth-wise FloatConv (padding 1) with the given weights."""
+    c = w.shape[0]
+    conv = M.FloatConv("conv", K.ConvSpec(c, c, (3, 3), stride=stride, padding=1, groups=c),
+                       np.random.default_rng(0), np.float64)
+    conv.w[...] = w
+    return conv
+
+
+def make_block(conv, bn, topology):
+    """conv -> BN -> residual wiring, closed by a slope-1 PReLU (the identity)."""
+    c = bn.gamma.size
+    act = prelu_layer(np.zeros(c), np.ones(c), np.zeros(c))
+    blk = M.Block("block", conv, bn, act, topology, c, c)
+    return lambda t: blk.forward(t)
+
+
+def zero_w(c):
+    return np.zeros((c, 1, 3, 3))
+
+
+def identity_w(c):
+    w = zero_w(c)
+    w[:, :, 1, 1] = 1.0
+    return w
 
 
 class TestBatchNorm:
@@ -19,48 +61,50 @@ class TestBatchNorm:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 3, 4, 4))
         p = make_bn(3, 1.0)
-        assert np.allclose(L.batchnorm_forward(x, p), x, atol=1e-12)
+        assert np.allclose(p.forward(x), x, atol=1e-12)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 3, 5, 5))
-        p = L.BNParams(rng.random(3) + 0.5, rng.standard_normal(3),
-                       rng.standard_normal(3), rng.random(3) + 0.1)
-        got = L.batchnorm_forward(x, p)
+        p = bn_layer(rng.random(3) + 0.5, rng.standard_normal(3),
+                     rng.standard_normal(3), rng.random(3) + 0.1)
+        got = p.forward(x)
         for c in range(3):
             a = p.gamma[c] / np.sqrt(p.var[c] + p.eps)
-            want = a * (x[:, c] - p.mu[c]) + p.beta_shift[c]
+            want = a * (x[:, c] - p.mu[c]) + p.beta[c]
             assert np.allclose(got[:, c], want, atol=1e-12)
 
     def test_constant_input_training_alpha_large_but_finite(self):
         # zero batch variance drives the scaling factor to gamma/sqrt(eps)
-        p = L.BNParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
+        p = bn_layer(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
         x = np.full((4, 2, 3, 3), 1.7)
-        y = L.batchnorm_forward(x, p, training=True)
+        y = p.forward(x, training=True)
         assert np.all(np.isfinite(y))
         alpha = p.gamma / np.sqrt(x.var(axis=(0, 2, 3)) + p.eps)
         assert np.all(alpha > 100)  # the instability mechanism, not an overflow
+        assert np.array_equal(p.alpha_bn(batch=True), alpha)
 
     def test_training_updates_running_stats(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((8, 2, 4, 4)) * 2 + 1
-        p = L.BNParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
-        L.batchnorm_forward(x, p, training=True, momentum=0.1)
+        p = bn_layer(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
+        p.momentum = 0.1
+        p.forward(x, training=True)
         want_mu = 0.1 * x.mean(axis=(0, 2, 3))
         assert np.allclose(p.mu, want_mu, atol=1e-12)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((3, 2, 4, 4))
-        p = L.BNParams(rng.random(2) + 0.5, rng.standard_normal(2), np.zeros(2), np.ones(2))
+        p = bn_layer(rng.random(2) + 0.5, rng.standard_normal(2), np.zeros(2), np.ones(2))
+        p.update_stats = False
         gy = rng.standard_normal(x.shape)
-        y, cache = L.batchnorm_forward_train(x, p, update_stats=False)
-        gx, dgamma, dbeta = L.batchnorm_backward(gy, cache)
+        p.forward(x, training=True)
+        gx = p.backward(gy)
         h = 1e-6
 
         def loss(x_):
-            y_, _ = L.batchnorm_forward_train(x_, p, update_stats=False)
-            return float((y_ * gy).sum())
+            return float((p.forward(x_, training=True) * gy).sum())
 
         for idx in [(0, 0, 0, 0), (2, 1, 3, 3), (1, 0, 2, 1)]:
             xp = x.copy(); xp[idx] += h
@@ -70,66 +114,57 @@ class TestBatchNorm:
 
 
 class TestBlocks:
-    def _linear_dw_conv(self, channels, rng):
-        spec = K.ConvSpec(channels, channels, (3, 3), stride=1, padding=1, groups=channels)
-        w = rng.standard_normal(spec.weight_shape())
-        return lambda t: K.conv_float(t, w, spec)
-
     def test_pre_bn_zero_conv_is_bn_plus_skip(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((1, 2, 4, 4))
-        conv = lambda t: np.zeros_like(t)
         p = make_bn(2, 2.0)
-        got = L.pre_bn_block(x, conv, p)
-        assert np.allclose(got, L.batchnorm_forward(x, p) + x, atol=1e-12)
+        got = make_block(dw_conv(zero_w(2)), p, PRE)(x)
+        assert np.allclose(got, p.forward(x) + x, atol=1e-12)
 
     def test_pre_bn_identity_conv(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((1, 3, 4, 4))
         p = make_bn(3, 1.5)
-        got = L.pre_bn_block(x, lambda t: t, p)
-        assert np.allclose(got, L.batchnorm_forward(2 * x, p) + x, atol=1e-12)
+        got = make_block(dw_conv(identity_w(3)), p, PRE)(x)
+        assert np.allclose(got, p.forward(2 * x) + x, atol=1e-12)
 
     def test_post_bn_zero_conv_gamma_zero(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((1, 2, 4, 4))
         shift = rng.standard_normal(2)
-        p = L.BNParams(np.zeros(2), shift, np.zeros(2), np.ones(2))
-        got = L.post_bn_block(x, lambda t: np.zeros_like(t), p)
+        p = bn_layer(np.zeros(2), shift, np.zeros(2), np.ones(2))
+        got = make_block(dw_conv(zero_w(2)), p, POST)(x)
         assert np.allclose(got, shift.reshape(1, 2, 1, 1) + x, atol=1e-12)
 
     def test_blocks_match_composed_oracle(self):
         rng = np.random.default_rng(8)
         c = 3
         x = rng.standard_normal((2, c, 4, 4))
-        conv = self._linear_dw_conv(c, rng)
-        p = L.BNParams(rng.random(c) + 0.5, rng.standard_normal(c),
-                       rng.standard_normal(c), rng.random(c) + 0.5)
-        assert np.allclose(L.pre_bn_block(x, conv, p),
-                           L.batchnorm_forward(conv(x) + x, p) + x, atol=1e-12)
-        assert np.allclose(L.post_bn_block(x, conv, p),
-                           L.batchnorm_forward(conv(x), p) + x, atol=1e-12)
+        conv = dw_conv(rng.standard_normal((c, 1, 3, 3)))
+        z = K.conv_float(x, conv.w, conv.spec)
+        p = bn_layer(rng.random(c) + 0.5, rng.standard_normal(c),
+                     rng.standard_normal(c), rng.random(c) + 0.5)
+        assert np.allclose(make_block(conv, p, PRE)(x), p.forward(z + x) + x, atol=1e-12)
+        assert np.allclose(make_block(conv, p, POST)(x), p.forward(z) + x, atol=1e-12)
 
     def test_topologies_differ_under_large_alpha(self):
         rng = np.random.default_rng(9)
         c = 2
         x = rng.standard_normal((1, c, 4, 4))
-        conv = self._linear_dw_conv(c, rng)
+        conv = dw_conv(rng.standard_normal((c, 1, 3, 3)))
         p = make_bn(c, 50.0)
-        pre = L.pre_bn_block(x, conv, p)
-        post = L.post_bn_block(x, conv, p)
+        pre = make_block(conv, p, PRE)(x)
+        post = make_block(conv, p, POST)(x)
         assert not np.allclose(pre, post)
 
     def test_stride2_skip_is_average_pooled(self):
         rng = np.random.default_rng(10)
         c = 2
-        spec = K.ConvSpec(c, c, (3, 3), stride=2, padding=1, groups=c)
-        w = rng.standard_normal(spec.weight_shape())
-        conv = lambda t: K.conv_float(t, w, spec)
+        conv = dw_conv(rng.standard_normal((c, 1, 3, 3)), stride=2)
         x = rng.standard_normal((1, c, 6, 6))
         p = make_bn(c, 1.0)
-        got = L.post_bn_block(x, conv, p)
-        want = L.batchnorm_forward(conv(x), p) + L.avg_pool2(x)
+        got = make_block(conv, p, POST)(x)
+        want = p.forward(K.conv_float(x, conv.w, conv.spec)) + L.avg_pool2(x)
         assert np.allclose(got, want, atol=1e-12)
 
     def test_jacobian_structure_post_and_pre(self):
@@ -137,15 +172,13 @@ class TestBlocks:
         rng = np.random.default_rng(11)
         c, hw = 2, 4
         x0 = rng.standard_normal((1, c, hw, hw))
-        spec = K.ConvSpec(c, c, (3, 3), stride=1, padding=1, groups=c)
-        w = rng.standard_normal(spec.weight_shape())
-        conv = lambda t: K.conv_float(t, w, spec)
+        conv = dw_conv(rng.standard_normal((c, 1, 3, 3)))
         alpha = 7.0
         p = make_bn(c, alpha, mu=rng.standard_normal(c), shift=rng.standard_normal(c))
-        jdw = jacobian_of_block(conv, x0)
+        jdw = jacobian_of_block(lambda t: K.conv_float(t, conv.w, conv.spec), x0)
         eye = np.eye(x0.size)
-        j_post = jacobian_of_block(lambda t: L.post_bn_block(t, conv, p), x0)
-        j_pre = jacobian_of_block(lambda t: L.pre_bn_block(t, conv, p), x0)
+        j_post = jacobian_of_block(make_block(conv, p, POST), x0)
+        j_pre = jacobian_of_block(make_block(conv, p, PRE), x0)
         want_post = alpha * jdw + eye
         want_pre = alpha * jdw + (alpha + 1) * eye
         assert np.linalg.norm(j_post - want_post) <= 1e-3 * np.linalg.norm(want_post)
@@ -155,12 +188,12 @@ class TestBlocks:
         rng = np.random.default_rng(12)
         c = 2
         x0 = rng.standard_normal((1, c, 3, 3))
-        zero_conv = lambda t: np.zeros_like(t)
+        zero_conv = dw_conv(zero_w(c))
         alpha = 4.0
         p = make_bn(c, alpha)
         eye = np.eye(x0.size)
-        j_post = jacobian_of_block(lambda t: L.post_bn_block(t, zero_conv, p), x0)
-        j_pre = jacobian_of_block(lambda t: L.pre_bn_block(t, zero_conv, p), x0)
+        j_post = jacobian_of_block(make_block(zero_conv, p, POST), x0)
+        j_pre = jacobian_of_block(make_block(zero_conv, p, PRE), x0)
         assert np.allclose(j_post, eye, atol=1e-6)
         assert np.allclose(j_pre, (alpha + 1) * eye, atol=1e-6)
 
@@ -215,13 +248,13 @@ class TestShiftedPReLU:
     def test_identity(self):
         rng = np.random.default_rng(16)
         x = rng.standard_normal((1, 2, 3, 3))
-        out = L.shifted_prelu(x, np.zeros(2), np.ones(2), np.zeros(2))
+        out = prelu_layer(np.zeros(2), np.ones(2), np.zeros(2)).forward(x)
         assert np.array_equal(out, x)
 
     def test_relu(self):
         rng = np.random.default_rng(17)
         x = rng.standard_normal((1, 2, 3, 3))
-        out = L.shifted_prelu(x, np.zeros(2), np.zeros(2), np.zeros(2))
+        out = prelu_layer(np.zeros(2), np.zeros(2), np.zeros(2)).forward(x)
         assert np.array_equal(out, np.maximum(x, 0))
 
     def test_matches_scalar_oracle(self):
@@ -229,7 +262,7 @@ class TestShiftedPReLU:
         c = 3
         x = rng.standard_normal((2, c, 4, 4))
         si, sl, so = rng.standard_normal(c), rng.random(c), rng.standard_normal(c)
-        got = L.shifted_prelu(x, si, sl, so)
+        got = prelu_layer(si, sl, so).forward(x)
         z = x - si.reshape(1, c, 1, 1)
         want = np.where(z >= 0, z, sl.reshape(1, c, 1, 1) * z) + so.reshape(1, c, 1, 1)
         assert np.allclose(got, want, atol=1e-12)

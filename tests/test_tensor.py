@@ -175,3 +175,11 @@ class TestContainer:
         data = buf.getvalue()[:-8]
         with pytest.raises(T.ContainerError):
             T.read_dense(io.BytesIO(data))
+
+    @pytest.mark.parametrize("reader", [T.read_dense, T.read_bits])
+    @pytest.mark.parametrize("dim", [65536, 2**32 - 1])
+    def test_overflowing_element_count_rejected(self, reader, dim):
+        # 65536**4 wraps to 0 in int64; (2**32-1)**4 does not fit an index
+        blob = T.MAGIC + np.full(4, dim, dtype="<u4").tobytes() + b"\0" * 64
+        with pytest.raises(T.ContainerError):
+            reader(io.BytesIO(blob))
