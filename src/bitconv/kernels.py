@@ -12,6 +12,12 @@ Two families share one geometry descriptor (ConvSpec):
   scaled by the per-output-channel magnitude only at the very end, so the
   result matches the float kernel on decoded +/-1 operands bit for bit.
 
+The input's sign pattern comes as a BitTensor or as the bool array
+x >= threshold of tensor.sign_bits, which the kernels read as is, so an
+activation needs no pack and unpack round trip (FINN-style thresholding,
+Umuroglu et al. 2017). All branches of a multi-branch depth-wise conv run
+as one kernel call over their stacked bit arrays.
+
 Padding semantics: pads are zeros, i.e. padded positions contribute 0 to
 the accumulator (not -1). The depth-wise kernel masks pad positions out of
 the popcount and counts only live elements per window; the regular kernel
@@ -33,15 +39,18 @@ weight bits, so a BinaryConvWeights builds it the first time a kernel uses
 it and keeps it for every later call, as daBNN packs its weights once ahead
 of inference. The packed bits of a BinaryConvWeights must therefore not
 change after its first use; new weights need a new BinaryConvWeights.
+The tables that depend on the geometry alone (live-tap words, dead-tap
+corrections) are likewise built once per input size and ConvSpec.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import BitTensor, _pack_rows, as_nchw, pack, unpack_bits
+from .tensor import BitTensor, _pack_rows, as_nchw, pack, sign_bits, unpack_bits
 
 
 @dataclass(frozen=True)
@@ -275,6 +284,19 @@ def _window_dtype(taps: int) -> np.dtype:
 _BLOCK_ELEMS = 1 << 16  # output elements (rows x filters, or planes x positions) per block
 
 
+@functools.lru_cache(maxsize=256)
+def _dw_live(h: int, w: int, spec: ConvSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Window word of the in-bounds taps at each output position (Ho, Wo),
+    and its popcount as int32. Geometry only, so built once per (h, w, spec)."""
+    kh, kw = spec.kernel
+    dt = _window_dtype(kh * kw)
+    valid = _tap_validity(h, w, spec).reshape(kh * kw, *spec.out_hw(h, w)).astype(dt)
+    live = np.bitwise_or.reduce(valid << np.arange(kh * kw, dtype=dt)[:, None, None], axis=0)
+    count = np.bitwise_count(live).astype(np.int32)
+    live.flags.writeable = count.flags.writeable = False
+    return live, count
+
+
 def _dw_operand(wbits: np.ndarray) -> np.ndarray:
     """Window word of each channel's filter: bit t is tap t (row-major)."""
     c, _, kh, kw = wbits.shape
@@ -300,11 +322,7 @@ def _dw_conv_int(xbits: np.ndarray, wwin: np.ndarray, spec: ConvSpec) -> np.ndar
     dt = _window_dtype(kh * kw)
     s, p = spec.stride, spec.padding
     ho, wo = spec.out_hw(h, w)
-    valid = _tap_validity(h, w, spec)
-    live = np.zeros((ho, wo), dtype=dt)
-    for t in range(kh * kw):
-        di, dj = divmod(t, kw)
-        live |= valid[di, dj].astype(dt) << dt.type(t)
+    live, live_count = _dw_live(h, w, spec)
     wrows = np.tile(wwin, n)  # filter window of each (sample, channel) plane
 
     planes = xbits.reshape(n * c, h, w)
@@ -328,7 +346,7 @@ def _dw_conv_int(xbits: np.ndarray, wwin: np.ndarray, spec: ConvSpec) -> np.ndar
         np.invert(acc, out=acc)
         acc &= live
         np.multiply(np.bitwise_count(acc), 2, out=out[r : r + b], dtype=np.int32)
-    out -= np.bitwise_count(live).astype(np.int32)
+    out -= live_count
     return out.reshape(n, c, ho, wo)
 
 
@@ -339,6 +357,20 @@ def _regular_operand(wbits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     wcols = np.ascontiguousarray(ww.reshape(o, -1).T)
     wpop = np.bitwise_count(ww).sum(axis=-1, dtype=np.int32).reshape(o, kh * kw)
     return wcols, wpop
+
+
+@functools.lru_cache(maxsize=256)
+def _regular_edges(h: int, w: int, spec: ConvSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Output positions with a dead (padding) tap, their (kh*kw, edges) 0/1
+    dead-tap matrix, and the live input elements (channels x live taps) of
+    every position. Geometry only, so built once per (h, w, spec)."""
+    kh, kw = spec.kernel
+    valid = _tap_validity(h, w, spec).reshape(kh * kw, -1)
+    edge = np.flatnonzero(~valid.all(axis=0))
+    dead_taps = (~valid[:, edge]).astype(np.int32)
+    live = spec.in_channels * valid.sum(axis=0, dtype=np.int32)
+    edge.flags.writeable = dead_taps.flags.writeable = live.flags.writeable = False
+    return edge, dead_taps, live
 
 
 def _regular_conv_int(xbits: np.ndarray, operand, spec: ConvSpec) -> np.ndarray:
@@ -366,9 +398,9 @@ def _regular_conv_int(xbits: np.ndarray, operand, spec: ConvSpec) -> np.ndarray:
     o = spec.out_channels
 
     # channel-packed input (N, Hp, Wp, Wc) and im2col (N*Ho*Wo, kh*kw*Wc)
-    xt = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=np.uint8)
+    xt = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=bool)
     xt[:, p : p + h, p : p + w, :] = np.moveaxis(xbits, 1, -1)
-    xw = _pack_rows(xt.view(bool))
+    xw = _pack_rows(xt)
     nchan_words = xw.shape[-1]
     cols = np.empty((n, ho, wo, kh, kw, nchan_words), dtype=np.uint64)
     for di in range(kh):
@@ -393,33 +425,35 @@ def _regular_conv_int(xbits: np.ndarray, operand, spec: ConvSpec) -> np.ndarray:
             acc += count[:b]
 
     # disagreements that dead taps added, only at the edge positions that have them
-    valid = _tap_validity(h, w, spec).reshape(kh * kw, ho * wo)
-    edge = np.flatnonzero(~valid.all(axis=0))
+    edge, dead_taps, live = _regular_edges(h, w, spec)
     dead = np.zeros((o, ho * wo), dtype=np.int32)
-    dead[:, edge] = wpop @ (~valid[:, edge]).astype(np.int32)
-    base = c * valid.sum(axis=0, dtype=np.int32) + 2 * dead
+    dead[:, edge] = wpop @ dead_taps
+    base = live + 2 * dead
     acc = disagree.reshape(n, ho * wo, o).transpose(0, 2, 1).astype(np.int32, order="C")
     acc *= -2
     acc += base
     return acc.reshape(n, o, ho, wo)
 
 
-def conv_binary(xb: BitTensor, w: BinaryConvWeights, spec: ConvSpec) -> np.ndarray:
+def conv_binary(xb, w: BinaryConvWeights, spec: ConvSpec) -> np.ndarray:
     """Binary convolution on packed operands.
 
-    Accumulates in 32-bit integers via XNOR-popcount and applies the
-    per-output-channel magnitude once at the end, so the result equals the
-    float kernel on decoded operands exactly. Supports groups in
-    {1, in_channels}. The filter side of the kernel comes from
-    w.operand, built on w's first use.
+    xb is the input's sign pattern: a BitTensor, or the bool (N, C, H, W)
+    array of tensor.sign_bits, read as is. Accumulates in 32-bit integers
+    via XNOR-popcount and applies the per-output-channel magnitude once at
+    the end, in float64, so the result equals the float kernel on decoded
+    operands exactly. Supports groups in {1, in_channels}. The filter side
+    of the kernel comes from w.operand, built on w's first use.
     """
     if spec.groups != 1 and not spec.is_depthwise:
         raise ValueError(f"unsupported groups {spec.groups} (use 1 or depth-wise)")
-    if xb.shape[1] != spec.in_channels:
-        raise ValueError(f"input has {xb.shape[1]} channels, spec wants {spec.in_channels}")
+    xbits = unpack_bits(xb).view(bool) if isinstance(xb, BitTensor) else as_nchw(xb)
+    if xbits.dtype != bool:
+        raise ValueError(f"input bits must be a BitTensor or a bool array, got {xbits.dtype}")
+    if xbits.shape[1] != spec.in_channels:
+        raise ValueError(f"input has {xbits.shape[1]} channels, spec wants {spec.in_channels}")
     if w.packed.shape != spec.weight_shape():
         raise ValueError(f"weights {w.packed.shape} do not match spec {spec.weight_shape()}")
-    xbits = unpack_bits(xb)
     kernel = _dw_conv_int if spec.is_depthwise else _regular_conv_int
     acc = kernel(xbits, w.operand(spec.is_depthwise), spec)
     beta = w.magnitude
@@ -440,19 +474,31 @@ def conv_multi_dw(x, branches, spec: ConvSpec) -> np.ndarray:
     """Sum of N parallel binary depth-wise convs, 1 <= N <= 4.
 
     branches is a list of (BinaryConvWeights, threshold, magnitude)
-    triples; each branch packs the shared input at its own threshold and
-    scales its integer output by its own magnitude, reusing the kernel
-    operand its weights already hold.
+    triples. The branches run as one depth-wise conv_binary over N*C
+    channels: on the stacked (batch, N*C, H, W) bits of x at each branch's
+    threshold, against the concatenated window words the branches' weights
+    hold. Each branch's scaled output is cast to the dtype of x and the
+    magnitudes, then the branches sum in order. |acc| * magnitude is exact
+    in float64, so the cast rounds as that dtype's product does, and a
+    float32 net's packed forward equals its float path bit for bit.
     """
     if not spec.is_depthwise:
         raise ValueError("multi conv is defined for depth-wise specs")
     if not 1 <= len(branches) <= 4:
         raise ValueError(f"branch count must be in [1, 4], got {len(branches)}")
-    out = None
-    for weights, threshold, magnitude in branches:
-        y = conv_binary(pack(x, threshold), weights.with_magnitude(magnitude), spec)
-        if out is None:
-            out = y
-        else:
-            out += y
+    weights, thresholds, magnitudes = zip(*branches)
+    if any(wt.packed.shape != spec.weight_shape() for wt in weights):
+        raise ValueError(f"every branch's weights must match spec {spec.weight_shape()}")
+    x = as_nchw(x)
+    k, c = len(branches), spec.in_channels
+    words = np.concatenate([wt.packed.words for wt in weights])
+    packed = BitTensor((k * c, *spec.weight_shape()[1:]), words, weights[0].packed.pad_bits)
+    stacked = BinaryConvWeights(packed, np.concatenate([np.broadcast_to(m, (c,)) for m in magnitudes]))
+    stacked._operands[True] = np.concatenate([wt.operand(True) for wt in weights])
+    bits = sign_bits(x, [np.broadcast_to(t, (c,)) for t in thresholds])
+    kspec = ConvSpec(k * c, k * c, spec.kernel, spec.stride, spec.padding, k * c)
+    y = conv_binary(bits, stacked, kspec).astype(np.result_type(x, *magnitudes), copy=False)
+    out = y[:, :c] if k == 1 else y[:, :c] + y[:, c : 2 * c]
+    for i in range(2, k):
+        out += y[:, i * c : (i + 1) * c]
     return out

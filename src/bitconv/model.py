@@ -11,11 +11,13 @@ Every layer implements its own backward pass; quantizers use the clipped
 straight-through estimator and the magnitudes/thresholds receive the
 gradients of the continuous surrogate. Inference can also run through the
 bit-packed kernels (forward_packed), which matches the float path bit for
-bit because binary accumulation is integer-exact. A binary layer packs its
-sign filters, and the kernels build their filter operands from them, once
-per set of latent weights: the packed form is kept with a copy of the
-weights it came from and rebuilt only when the live weights differ from
-that copy, whatever changed them.
+bit in float32 and float64 nets: accumulation is integer-exact and each
+branch's scaled output is rounded to the net dtype before the branches
+sum. Activations reach the kernels unpacked, as tensor.sign_bits arrays.
+A binary layer packs its sign filters, and the kernels build their filter
+operands from them, once per set of latent weights: the packed form is
+kept with a copy of the weights it came from and rebuilt only when the
+live weights differ from that copy, whatever changed them.
 """
 
 from __future__ import annotations
@@ -240,7 +242,8 @@ class MultiBinaryConv(Layer):
         if self.spec.is_depthwise:
             branches = [(packed[i], self.thr[i], self.beta[i]) for i in range(self.n)]
             return conv_multi_dw(x, branches, self.spec)
-        return conv_binary(T.pack(x, self.thr[0]), packed[0].with_magnitude(self.beta[0]), self.spec)
+        y = conv_binary(T.sign_bits(x, self.thr[0]), packed[0].with_magnitude(self.beta[0]), self.spec)
+        return y.astype(np.result_type(x, self.beta[0]), copy=False)
 
     def _packed_filters(self) -> list[BinaryConvWeights]:
         """Packed sign filters of every branch, repacked only when the weights changed.
@@ -366,9 +369,12 @@ class BatchNorm(Layer):
         else:
             mu, var = self.mu, self.var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mu.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
+        xhat = x - mu.reshape(1, -1, 1, 1)
+        xhat *= inv_std.reshape(1, -1, 1, 1)
         self._cache = (xhat, inv_std, mu, var)
-        return self.gamma.reshape(1, -1, 1, 1) * xhat + self.beta.reshape(1, -1, 1, 1)
+        y = self.gamma.reshape(1, -1, 1, 1) * xhat
+        y += self.beta.reshape(1, -1, 1, 1)
+        return y
 
     def backward(self, gy):
         xhat, inv_std, mu, var = self._cache
@@ -407,8 +413,9 @@ class ShiftedPReLU(Layer):
     def forward(self, x, training=False):
         z = x - self.shift_in.reshape(1, -1, 1, 1)
         self._cache = z
-        sl = self.slope.reshape(1, -1, 1, 1)
-        return np.where(z >= 0, z, sl * z) + self.shift_out.reshape(1, -1, 1, 1)
+        y = np.where(z >= 0, z, self.slope.reshape(1, -1, 1, 1) * z)
+        y += self.shift_out.reshape(1, -1, 1, 1)
+        return y
 
     def backward(self, gy):
         z = self._cache
@@ -460,10 +467,9 @@ class Block:
             self._cache = (x.shape, False, False, True)
         else:
             r, pooled, broadcast = self._skip(x, z.shape[2:])
-            if self.topology is BlockTopology.PRE_BN_RESIDUAL:
-                y0 = self.bn.forward(z + r, training) + r
-            else:
-                y0 = self.bn.forward(z, training) + r
+            pre = self.topology is BlockTopology.PRE_BN_RESIDUAL
+            y0 = self.bn.forward(z + r if pre else z, training)  # z + r is not kept alive
+            y0 += r
             self._cache = (x.shape, pooled, broadcast, False)
         return self.act.forward(y0, training)
 

@@ -244,7 +244,11 @@ def read_pgm(path) -> np.ndarray:
     width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if maxval != 255:
         raise ValueError(f"only 8-bit PGM supported, maxval {maxval}")
+    if width < 1 or height < 1:
+        raise ValueError(f"PGM size must be positive, got {width}x{height}")
     pos += 1  # single whitespace after maxval
+    if len(data) - pos < width * height:
+        raise ValueError(f"PGM pixel data too short for {width}x{height}")
     pix = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
     return pix.reshape(height, width).copy()
 

@@ -115,17 +115,28 @@ def _unpack_rows(words: np.ndarray, n_elems: int) -> np.ndarray:
     return np.unpackbits(by, axis=-1, bitorder="little", count=n_elems)
 
 
+def sign_bits(t, threshold=0.0) -> np.ndarray:
+    """The bool (N, C, H, W) array t[n,c,y,x] >= threshold[c] (ties map to +1).
+
+    A (K, C) threshold stacks the K patterns on the channel axis, giving
+    (N, K*C, H, W) with pattern k at channels k*C .. (k+1)*C - 1.
+    """
+    x = as_nchw(t)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("a sign pattern requires finite input")
+    n, c, h, w = x.shape
+    thr = np.atleast_2d(np.asarray(threshold, dtype=np.float64))
+    thr = np.broadcast_to(thr, (thr.shape[0], c))
+    return (x[:, None] >= thr[None, :, :, None, None]).reshape(n, -1, h, w)
+
+
 def pack(t, threshold=0.0) -> BitTensor:
     """Pack the sign pattern of a dense tensor against a per-channel threshold.
 
     Bit is 1 where t[n,c,y,x] >= threshold[c] (ties map to +1), else 0.
     """
-    x = as_nchw(t)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("pack requires finite input")
-    n, c, h, w = x.shape
-    thr = np.broadcast_to(np.asarray(threshold, dtype=np.float64), (c,))
-    bits = x >= thr.reshape(1, c, 1, 1)
+    bits = sign_bits(t, threshold)
+    n, c, h, w = bits.shape
     words = _pack_rows(bits.reshape(n, c, h * w))
     return BitTensor((n, c, h, w), words, words.shape[-1] * WORD_BITS - h * w)
 

@@ -355,6 +355,8 @@ def load_csv_dataset(path, image_shape, classes: int, split: str = "train") -> D
                 raise ValueError(f"{path}:{ln}: expected {1 + want} fields, got {len(row)}")
             ys.append(int(row[0]))
             xs.append(np.asarray(row[1:], dtype=np.float64))
+            if not np.all(np.isfinite(xs[-1])):
+                raise ValueError(f"{path}:{ln}: pixel values must be finite")
     if not xs:
         raise ValueError(f"{path}: no data rows")
     x = np.stack(xs).reshape(len(xs), c, h, w)

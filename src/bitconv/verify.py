@@ -65,30 +65,12 @@ def _corrupt_pads(bt, rng):
 
 def run_case(variant: str, rng, corrupt_pad: bool = False) -> CaseResult:
     n = int(rng.integers(1, 4))
-    if variant == "binary_regular":
-        spec, h, w = _random_spec(rng, depthwise=False)
-        x = rng.standard_normal((n, spec.in_channels, h, w))
-        xb = pack(x, 0.0)
-        weights = BinaryConvWeights(
-            pack(rng.standard_normal(spec.weight_shape()), 0.0),
-            rng.random(spec.out_channels) + 0.1,
-        )
-        if corrupt_pad and not (_corrupt_pads(xb, rng) | _corrupt_pads(weights.packed, rng)):
-            return CaseResult(variant, x.shape, spec, 1, True, "no pad bits to corrupt")
-        if corrupt_pad and not (xb.pads_are_zero() and weights.packed.pads_are_zero()):
-            return CaseResult(variant, x.shape, spec, 1, False, "pad invariant violated")
-        got = conv_binary(xb, weights, spec)
-        want = _oracle_binary(xb, weights, spec)
-        ok = np.array_equal(got, want)
-        return CaseResult(variant, x.shape, spec, 1, ok, "" if ok else "mismatch vs oracle")
-
-    # depth-wise families
-    spec, h, w = _random_spec(rng, depthwise=True)
+    spec, h, w = _random_spec(rng, depthwise=variant != "binary_regular")
     c = spec.in_channels
     x = rng.standard_normal((n, c, h, w))
-    if variant == "binary_dw":
+    if variant in ("binary_regular", "binary_dw"):
         weights = BinaryConvWeights(pack(rng.standard_normal(spec.weight_shape()), 0.0),
-                                    rng.random(c) + 0.1)
+                                    rng.random(spec.out_channels) + 0.1)
         xb = pack(x, 0.0)
         if corrupt_pad and not (_corrupt_pads(xb, rng) | _corrupt_pads(weights.packed, rng)):
             return CaseResult(variant, x.shape, spec, 1, True, "no pad bits to corrupt")

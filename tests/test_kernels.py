@@ -216,8 +216,8 @@ class TestKernelOperand:
                                   K.conv_binary(xb, K.binarize_weights(w, beta), spec))
 
     def test_rewrapped_branch_matches_fresh(self):
-        # conv_multi_dw re-wraps each branch with its own magnitude; the
-        # re-wrap shares the operand of the bits, never the magnitude
+        # conv_multi_dw reads each branch's operand under the branch's own
+        # magnitude; neither it nor a re-wrap changes the bank's magnitude
         rng = np.random.default_rng(14)
         c = 5
         spec = K.ConvSpec(c, c, (3, 3), padding=1, groups=c)
@@ -232,6 +232,104 @@ class TestKernelOperand:
         assert np.array_equal(bw.magnitude, np.ones(c))
         rewrapped = bw.with_magnitude(beta)
         assert np.array_equal(K.conv_binary(T.pack(x, thr), rewrapped, spec), want)
+
+
+class TestBitArrayEntry:
+    """conv_binary reads the bool array of tensor.sign_bits as it reads a
+    BitTensor, and conv_multi_dw runs its branches as one stacked call."""
+
+    @staticmethod
+    def tied_input(rng, shape):
+        # values on a coarse grid, so some elements tie with the thresholds
+        return rng.integers(-3, 4, shape) * 0.25
+
+    @pytest.mark.parametrize("spec", [
+        K.ConvSpec(70, 5, (3, 3), stride=2, padding=1),
+        K.ConvSpec(6, 6, (3, 3), stride=1, padding=1, groups=6),
+        K.ConvSpec(6, 6, (5, 5), stride=2, padding=1, groups=6),
+        K.ConvSpec(6, 6, (8, 8), stride=1, padding=1, groups=6),
+    ])
+    def test_bool_array_equals_bit_tensor(self, spec):
+        rng = np.random.default_rng(spec.in_channels + spec.kernel[0])
+        c = spec.in_channels
+        x = self.tied_input(rng, (2, c, 9, 9))
+        thr = rng.integers(-2, 3, c) * 0.25
+        bw = K.binarize_weights(rng.standard_normal(spec.weight_shape()), rng.random(spec.out_channels))
+        bits = T.sign_bits(x, thr)
+        assert bits.dtype == bool and bits.shape == x.shape
+        got = K.conv_binary(bits, bw, spec)
+        assert np.array_equal(got, K.conv_binary(T.pack(x, thr), bw, spec))
+        signs = np.where(x >= thr.reshape(1, -1, 1, 1), 1.0, -1.0)
+        want = K.conv_float(signs, T.unpack(bw.packed), spec) * bw.magnitude.reshape(1, -1, 1, 1)
+        assert np.array_equal(got, want)
+
+    def test_non_bool_array_rejected(self):
+        spec = K.ConvSpec(2, 2, (3, 3), groups=2)
+        bw = K.binarize_weights(np.ones(spec.weight_shape()))
+        with pytest.raises(ValueError, match="bool"):
+            K.conv_binary(np.ones((1, 2, 4, 4), dtype=np.uint8), bw, spec)
+
+    def test_stacked_thresholds(self):
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((2, 3, 4, 5))
+        thr = rng.uniform(-0.5, 0.5, (4, 3))
+        stacked = T.sign_bits(x, thr)
+        assert stacked.shape == (2, 12, 4, 5)
+        for i in range(4):
+            assert np.array_equal(stacked[:, 3 * i : 3 * (i + 1)], T.sign_bits(x, thr[i]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stacked_multi_equals_sequential_branch_sum(self, n, dtype):
+        rng = np.random.default_rng(20 + n)
+        c = 7
+        spec = K.ConvSpec(c, c, (3, 3), stride=2, padding=1, groups=c)
+        x = self.tied_input(rng, (3, c, 9, 9)).astype(dtype)
+        branches, want = [], None
+        for _ in range(n):
+            thr = (rng.integers(-2, 3, c) * 0.25).astype(dtype)
+            beta = rng.random(c).astype(dtype)
+            bw = K.binarize_weights(rng.standard_normal(spec.weight_shape()))
+            branches.append((bw, thr, beta))
+            y = K.conv_binary(T.pack(x, thr), bw.with_magnitude(beta), spec).astype(dtype)
+            want = y if want is None else want + y
+        got = K.conv_multi_dw(x, branches, spec)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+
+    def test_multi_makes_one_kernel_call_over_stacked_channels(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        c = 4
+        spec = K.ConvSpec(c, c, (3, 3), padding=1, groups=c)
+        branches = [(K.binarize_weights(rng.standard_normal(spec.weight_shape())),
+                     rng.uniform(-0.3, 0.3, c), rng.random(c)) for _ in range(3)]
+        calls = []
+        conv_binary = K.conv_binary
+
+        def counting(xb, w, kspec):
+            calls.append(kspec)
+            return conv_binary(xb, w, kspec)
+
+        monkeypatch.setattr(K, "conv_binary", counting)
+        K.conv_multi_dw(rng.standard_normal((1, c, 6, 6)), branches, spec)
+        assert calls == [K.ConvSpec(3 * c, 3 * c, (3, 3), padding=1, groups=3 * c)]
+
+    def test_multi_rejects_mismatched_branch(self):
+        spec = K.ConvSpec(2, 2, (3, 3), groups=2)
+        good = K.binarize_weights(np.ones(spec.weight_shape()))
+        bad = K.binarize_weights(np.ones((2, 1, 5, 5)))
+        with pytest.raises(ValueError):
+            K.conv_multi_dw(np.ones((1, 2, 6, 6)), [(good, 0.0, 1.0), (bad, 0.0, 1.0)], spec)
+
+    def test_non_finite_input_rejected(self):
+        spec = K.ConvSpec(2, 2, (3, 3), groups=2)
+        bw = K.binarize_weights(np.ones(spec.weight_shape()))
+        x = np.ones((1, 2, 4, 4))
+        x[0, 1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            T.sign_bits(x)
+        with pytest.raises(ValueError, match="finite"):
+            K.conv_multi_dw(x, [(bw, 0.0, 1.0)], spec)
 
 
 class TestDualAndMulti:

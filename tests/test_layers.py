@@ -268,6 +268,53 @@ class TestShiftedPReLU:
         assert np.allclose(got, want, atol=1e-12)
 
 
+SHAPES = [(1, 8, 16, 16), (16, 32, 8, 8), (3, 5, 6, 10)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", SHAPES)
+class TestFormulasUnchanged:
+    """The in-place forwards are bit-identical to the plain formulas."""
+
+    @staticmethod
+    def draws(shape, dtype):
+        rng = np.random.default_rng(sum(shape))
+        c = shape[1]
+        x = (rng.standard_normal(shape) * 3.0).astype(dtype)
+        return x, [rng.standard_normal(c).astype(dtype) for _ in range(3)], rng.random(c).astype(dtype)
+
+    def test_avg_pool2(self, shape, dtype):
+        x, _, _ = self.draws(shape, dtype)
+        n, c, h, w = shape
+        want = x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+        got = L.avg_pool2(x)
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+    def test_batchnorm(self, shape, dtype):
+        x, (gamma, beta, mu), var = self.draws(shape, dtype)
+        bn = M.BatchNorm("bn", shape[1], dtype)
+        bn.gamma[...], bn.beta[...], bn.mu[...], bn.var[...] = gamma, beta, mu, var
+        for training in (False, True):
+            bn.update_stats = False
+            m, v = (x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))) if training else (mu, var)
+            inv_std = 1.0 / np.sqrt(v + L.BN_EPS)
+            xhat = (x - m.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
+            want = gamma.reshape(1, -1, 1, 1) * xhat + beta.reshape(1, -1, 1, 1)
+            got = bn.forward(x, training)
+            assert got.dtype == dtype and np.array_equal(got, want)
+            assert np.array_equal(bn._cache[0], xhat)
+
+    def test_shifted_prelu(self, shape, dtype):
+        x, (shift_in, shift_out, _), slope = self.draws(shape, dtype)
+        act = M.ShiftedPReLU("act", shape[1], dtype)
+        act.shift_in[...], act.slope[...], act.shift_out[...] = shift_in, slope, shift_out
+        z = x - shift_in.reshape(1, -1, 1, 1)
+        want = np.where(z >= 0, z, slope.reshape(1, -1, 1, 1) * z) + shift_out.reshape(1, -1, 1, 1)
+        got = act.forward(x)
+        assert got.dtype == dtype and np.array_equal(got, want)
+        assert np.array_equal(act._cache, z)
+
+
 class TestAvgPool:
     def test_values(self):
         x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)

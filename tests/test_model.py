@@ -69,6 +69,29 @@ class TestBuild:
                 x = rng.standard_normal((2, 1, 8, 8))
                 assert np.array_equal(net.forward(x), net.forward(x, packed=True))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_convs", [1, 2, 3, 4])
+    def test_packed_forward_is_float_path_in_net_dtype(self, n_convs, dtype):
+        # each branch's scaled output is rounded to the net dtype before the
+        # branches sum, as in the float path, so float32 nets match exactly too
+        rng = np.random.default_rng(n_convs)
+        for variant in ("A", "B"):
+            for topology in BlockTopology:
+                cfg = small_config(variant=variant, topology=topology, n_convs=n_convs,
+                                   stages=((8, 1), (16, 2), (16, 1)), input_shape=(3, 8, 8))
+                net = M.build(cfg, seed=n_convs, dtype=dtype)
+                x = rng.standard_normal((3, 3, 8, 8))
+                packed = net.forward(x, packed=True)
+                assert packed.dtype == dtype
+                assert np.array_equal(packed, net.forward(x)), (variant, topology)
+
+    def test_packed_forward_rejects_non_finite_input(self):
+        net = M.build(small_config(), seed=0, dtype=np.float64)
+        x = np.zeros((1, 1, 8, 8))
+        x[0, 0, 3, 4] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            net.forward(x, packed=True)
+
     def test_ablation_presets(self):
         # the naive baseline keeps the conventional post-BN shortcut
         cfg = ablation_config("baseline")
@@ -272,6 +295,23 @@ class TestPackedFilterReuse:
         weights = [w for layer in binary_layers(net) for w in layer.w]
         assert not any(t is w for t in seen for w in weights)
         assert len(seen) == first - len(weights)
+
+
+    def test_second_forward_packs_and_unpacks_nothing(self, monkeypatch):
+        # activations reach the kernels as sign_bits arrays, never as BitTensors
+        calls = []
+        for module in (T, K):
+            for name in ("pack", "unpack_bits"):
+                fn = getattr(T, name)
+                monkeypatch.setattr(module, name,
+                                    lambda *a, fn=fn, name=name, **kw: calls.append(name) or fn(*a, **kw))
+        net = M.build(small_config(n_convs=3), seed=1, dtype=np.float64)
+        x = np.random.default_rng(1).standard_normal((2, 1, 8, 8))
+        net.forward(x, packed=True)
+        assert calls
+        calls.clear()
+        net.forward(x, packed=True)
+        assert calls == []
 
 
 class TestBranchResort:

@@ -195,6 +195,19 @@ class TestImageOps:
         Q.write_pgm(path, img)
         assert np.array_equal(Q.read_pgm(path), img)
 
+    @pytest.mark.parametrize("width,height", [(-3, 2), (3, -2), (0, 2), (3, 0)])
+    def test_pgm_non_positive_size_rejected(self, tmp_path, width, height):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P5\n%d %d\n255\n" % (width, height) + bytes(6))
+        with pytest.raises(ValueError, match="PGM size must be positive"):
+            Q.read_pgm(path)
+
+    def test_pgm_short_pixel_data_rejected(self, tmp_path):
+        path = tmp_path / "short.pgm"
+        path.write_bytes(b"P5\n4 4\n255\n" + bytes(2))
+        with pytest.raises(ValueError, match="PGM pixel data too short"):
+            Q.read_pgm(path)
+
     def test_two_threshold_otsu_on_trimodal(self):
         hist = np.zeros(256)
         hist[[20, 21]] = 40

@@ -282,6 +282,13 @@ class TestCsvIngestion:
         with pytest.raises(ValueError):
             TR.load_csv_dataset(path, (1, 2, 2), 2)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_pixel_rejected(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"label,x0\n0,0.5\n1,{bad}\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:3: pixel values must be finite"):
+            TR.load_csv_dataset(path, (1, 1, 1), 2)
+
     def test_cli_train_from_csv(self, tmp_path):
         from bitconv.cli import main
 
