@@ -274,6 +274,7 @@ class EigenEstimate:
     vector: np.ndarray
     residual: float  # ||Hv - value*v|| with v a unit vector
     converged: bool
+    hvps: int = 0  # operator applications of the whole solve, shift estimate included
 
 
 def _dominant_magnitude(hvp, dim: int, rng, iters: int = 30) -> float:
@@ -301,13 +302,20 @@ def hessian_topk_operator(hvp, dim: int, k: int, seed: int = 0, max_iter: int = 
     estimated from a short unshifted run when shift="auto". Stops on the
     eigenpair residual ||Hv - lam*v|| (which bounds the eigenvalue error
     for symmetric H); non-convergence is flagged on the estimate, never
-    raised.
+    raised. Every estimate reports the operator applications the solve made.
     """
     if k < 1 or k > 10:
         raise ValueError("k must be in [1, 10]")
     rng = np.random.default_rng(seed)
+    calls = 0
+
+    def counted(v):
+        nonlocal calls
+        calls += 1
+        return hvp(v)
+
     if shift == "auto":
-        sigma = 1.1 * _dominant_magnitude(hvp, dim, rng, iters=min(30, max_iter))
+        sigma = 1.1 * _dominant_magnitude(counted, dim, rng, iters=min(30, max_iter))
     else:
         sigma = float(shift)
     found: list[EigenEstimate] = []
@@ -322,7 +330,7 @@ def hessian_topk_operator(hvp, dim: int, k: int, seed: int = 0, max_iter: int = 
         v /= np.linalg.norm(v)
         lam, residual, converged = 0.0, float("inf"), False
         for _ in range(max_iter):
-            hv = deflate(np.asarray(hvp(v)) + sigma * v)
+            hv = deflate(np.asarray(counted(v)) + sigma * v)
             lam = float(v @ hv)
             residual = float(np.linalg.norm(hv - lam * v))
             norm = float(np.linalg.norm(hv))
@@ -334,6 +342,8 @@ def hessian_topk_operator(hvp, dim: int, k: int, seed: int = 0, max_iter: int = 
                 break
             v = hv / norm
         found.append(EigenEstimate(lam - sigma, v, residual, converged))
+    for est in found:
+        est.hvps = calls
     found.sort(key=lambda e: e.value, reverse=True)
     return found
 

@@ -4,8 +4,14 @@ Two families share one geometry descriptor (ConvSpec):
 
 * float reference kernels -- direct cross-correlation with zero padding,
   accumulated tap by tap (no FFT/Winograd, no im2col-GEMM restructuring).
-  These double as the correctness oracle for the binary kernels and as the
-  full-precision layers of built networks.
+  These double as the correctness oracle for the binary kernels, as the
+  full-precision layers of built networks and as the training surrogate of
+  the binary ones. A depth-wise conv and its gradients work per tap over
+  blocks of (sample, channel) planes laid out planes-last, so each tap is
+  one op along the plane axis and no loop runs per channel. The blocks are
+  small enough to stay cache-resident (whole-tensor temporaries at batch
+  96 cost more in page faults than they save in calls) and wide enough
+  along the planes for long inner loops.
 
 * bit-packed binary kernels -- the multiply-accumulate work runs as
   XNOR + popcount on packed words, with an integer accumulator that is
@@ -165,92 +171,128 @@ def _pad_input(x: np.ndarray, padding: int, value=0):
 # ---------------------------------------------------------------------------
 
 
+def _taps(spec: ConvSpec, ho: int, wo: int) -> list[tuple[slice, slice]]:
+    """Row and column slices of a padded plane that each tap reads, row-major."""
+    kh, kw = spec.kernel
+    s = spec.stride
+    return [(slice(di, di + (ho - 1) * s + 1, s), slice(dj, dj + (wo - 1) * s + 1, s))
+            for di in range(kh) for dj in range(kw)]
+
+
+_FLOAT_BLOCK_ELEMS = 1 << 14  # positions x planes per block of the depth-wise float kernels
+_FLOAT_BLOCK_PLANES = 32  # planes per block at least
+
+
+def _dw_blocks(planes: int, plane_elems: int, *arrays):
+    """Yield (slice of planes, blocks) over blocks of (sample, channel) planes
+    of each ((planes, H, W) array, padding) pair, copied planes-last, as
+    (H + 2p, W + 2p, b), into a buffer allocated once whose pad stays zero."""
+    block = min(planes, max(_FLOAT_BLOCK_PLANES, _FLOAT_BLOCK_ELEMS // plane_elems))
+    bufs = [np.zeros((a.shape[1] + 2 * p, a.shape[2] + 2 * p, block), a.dtype) for a, p in arrays]
+    for r in range(0, planes, block):
+        sl = slice(r, min(r + block, planes))
+        views = [buf[:, :, : sl.stop - r] for buf in bufs]
+        for view, (a, p) in zip(views, arrays):
+            view[p : view.shape[0] - p, p : view.shape[1] - p] = a[sl].transpose(1, 2, 0)
+        yield sl, views
+
+
 def conv_float(x, w, spec: ConvSpec) -> np.ndarray:
     """Direct cross-correlation with zero padding.
 
     Output spatial dims are floor((H + 2p - kh)/s) + 1. The channel
     contraction runs per tap (einsum without BLAS dispatch), keeping the
-    whole kernel a plain direct convolution.
+    whole kernel a plain direct convolution; a depth-wise conv scales each
+    block of planes by its channels' weights per tap. Either way each
+    output element sums its taps in row-major order, starting from zero.
     """
     x = as_nchw(x)
     w = np.asarray(w)
     _check_weight_shape(w, spec)
-    if x.shape[1] != spec.in_channels:
-        raise ValueError(f"input has {x.shape[1]} channels, spec wants {spec.in_channels}")
-    n, _, h, win = x.shape
-    kh, kw = spec.kernel
-    s = spec.stride
+    n, c, h, win = x.shape
+    if c != spec.in_channels:
+        raise ValueError(f"input has {c} channels, spec wants {spec.in_channels}")
     ho, wo = spec.out_hw(h, win)
-    xp = _pad_input(x, spec.padding)
+    taps = _taps(spec, ho, wo)
     dtype = np.result_type(x.dtype, w.dtype)
-    out = np.zeros((n, spec.out_channels, ho, wo), dtype=dtype)
     if spec.is_depthwise:
-        wd = w[:, 0, :, :]
-        for di in range(kh):
-            for dj in range(kw):
-                xs = xp[:, :, di : di + (ho - 1) * s + 1 : s, dj : dj + (wo - 1) * s + 1 : s]
-                out += xs * wd[None, :, di, dj, None, None]
-        return out
+        wt = np.tile(w.reshape(c, -1), (n, 1)).T.copy()  # (taps, planes)
+        out = np.empty((n * c, ho, wo), dtype=dtype)
+        for sl, (xb,) in _dw_blocks(n * c, ho * wo, (x.reshape(n * c, h, win), spec.padding)):
+            acc = np.zeros((ho, wo, xb.shape[2]), dtype=dtype)
+            prod = np.empty_like(acc)
+            for t, tap in enumerate(taps):
+                acc += np.multiply(xb[tap], wt[t, sl], out=prod)
+            out[sl] = acc.transpose(2, 0, 1)
+        return out.reshape(n, c, ho, wo)
+    xp = _pad_input(x, spec.padding)
+    out = np.zeros((n, spec.out_channels, ho, wo), dtype=dtype)
     for g in range(spec.groups):
         ci = slice(g * spec.group_in, (g + 1) * spec.group_in)
         co = slice(g * spec.group_out, (g + 1) * spec.group_out)
-        wg = w[co]
-        for di in range(kh):
-            for dj in range(kw):
-                xs = xp[:, ci, di : di + (ho - 1) * s + 1 : s, dj : dj + (wo - 1) * s + 1 : s]
-                out[:, co] += np.einsum("nchw,oc->nohw", xs, wg[:, :, di, dj])
+        wg = w[co].reshape(spec.group_out, spec.group_in, -1)
+        for t, (rows, cols) in enumerate(taps):
+            out[:, co] += np.einsum("nchw,oc->nohw", xp[:, ci, rows, cols], wg[:, :, t])
     return out
 
 
 def conv_float_grad_input(gy, w, spec: ConvSpec, in_hw: tuple[int, int]) -> np.ndarray:
-    """Gradient of conv_float w.r.t. its input (scatter of gy through w)."""
+    """Gradient of conv_float w.r.t. its input (scatter of gy through w);
+    a depth-wise conv scatters each block of planes into a padded buffer."""
     gy = as_nchw(gy)
     w = np.asarray(w)
     _check_weight_shape(w, spec)
-    n = gy.shape[0]
+    n, c = gy.shape[:2]
     h, win = in_hw
-    kh, kw = spec.kernel
-    s = spec.stride
+    p = spec.padding
     ho, wo = spec.out_hw(h, win)
-    gxp = np.zeros((n, spec.in_channels, h + 2 * spec.padding, win + 2 * spec.padding), dtype=gy.dtype)
+    taps = _taps(spec, ho, wo)
+    if spec.is_depthwise:
+        wt = np.tile(w.reshape(c, -1), (n, 1)).T.copy()  # (taps, planes)
+        gx = np.empty((n * c, h, win), dtype=gy.dtype)
+        for sl, (gb,) in _dw_blocks(n * c, h * win, (gy.reshape(n * c, ho, wo), 0)):
+            acc = np.zeros((h + 2 * p, win + 2 * p, gb.shape[2]), dtype=gy.dtype)
+            prod = np.empty(gb.shape, dtype=np.result_type(gy.dtype, w.dtype))
+            for t, tap in enumerate(taps):
+                view = acc[tap]
+                view += np.multiply(gb, wt[t, sl], out=prod)
+            gx[sl] = acc[p : p + h, p : p + win].transpose(2, 0, 1)
+        return gx.reshape(n, c, h, win)
+    gxp = np.zeros((n, spec.in_channels, h + 2 * p, win + 2 * p), dtype=gy.dtype)
     for g in range(spec.groups):
         ci = slice(g * spec.group_in, (g + 1) * spec.group_in)
         co = slice(g * spec.group_out, (g + 1) * spec.group_out)
-        wg = w[co]
-        gyg = gy[:, co]
-        for di in range(kh):
-            for dj in range(kw):
-                if spec.is_depthwise:
-                    contrib = gyg * wg[None, :, 0, di, dj, None, None]
-                else:
-                    contrib = np.einsum("nohw,oc->nchw", gyg, wg[:, :, di, dj])
-                gxp[:, ci, di : di + (ho - 1) * s + 1 : s, dj : dj + (wo - 1) * s + 1 : s] += contrib
-    p = spec.padding
+        wg = w[co].reshape(spec.group_out, spec.group_in, -1)
+        for t, (rows, cols) in enumerate(taps):
+            gxp[:, ci, rows, cols] += np.einsum("nohw,oc->nchw", gy[:, co], wg[:, :, t])
     return gxp[:, :, p : p + h, p : p + win]
 
 
 def conv_float_grad_weight(x, gy, spec: ConvSpec) -> np.ndarray:
-    """Gradient of conv_float w.r.t. its weights."""
+    """Gradient of conv_float w.r.t. its weights; a depth-wise conv takes
+    each plane's dot with its output gradient per tap, then sums samples."""
     x = as_nchw(x)
     gy = as_nchw(gy)
-    n, _, h, win = x.shape
-    kh, kw = spec.kernel
-    s = spec.stride
+    n, c, h, win = x.shape
     ho, wo = spec.out_hw(h, win)
+    taps = _taps(spec, ho, wo)
+    dtype = np.result_type(x.dtype, gy.dtype)
+    if spec.is_depthwise:
+        dots = np.empty((len(taps), n * c), dtype=dtype)  # per tap and (sample, channel) plane
+        blocks = _dw_blocks(n * c, ho * wo, (x.reshape(n * c, h, win), spec.padding),
+                            (gy.reshape(n * c, ho, wo), 0))
+        for sl, (xb, gb) in blocks:
+            for t, tap in enumerate(taps):
+                np.einsum("hwp,hwp->p", xb[tap], gb, out=dots[t, sl])
+        return dots.reshape(len(taps), n, c).sum(axis=1).T.reshape(spec.weight_shape())
     xp = _pad_input(x, spec.padding)
-    gw = np.zeros(spec.weight_shape(), dtype=np.result_type(x.dtype, gy.dtype))
+    gw = np.zeros((spec.out_channels, spec.group_in, len(taps)), dtype=dtype)
     for g in range(spec.groups):
         ci = slice(g * spec.group_in, (g + 1) * spec.group_in)
         co = slice(g * spec.group_out, (g + 1) * spec.group_out)
-        gyg = gy[:, co]
-        for di in range(kh):
-            for dj in range(kw):
-                xs = xp[:, ci, di : di + (ho - 1) * s + 1 : s, dj : dj + (wo - 1) * s + 1 : s]
-                if spec.is_depthwise:
-                    gw[co, 0, di, dj] = np.einsum("nchw,nchw->c", xs, gyg)
-                else:
-                    gw[co, :, di, dj] = np.einsum("nchw,nohw->oc", xs, gyg)
-    return gw
+        for t, (rows, cols) in enumerate(taps):
+            gw[co, :, t] = np.einsum("nchw,nohw->oc", xp[:, ci, rows, cols], gy[:, co])
+    return gw.reshape(spec.weight_shape())
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +360,8 @@ def _dw_conv_int(xbits: np.ndarray, wwin: np.ndarray, spec: ConvSpec) -> np.ndar
     cache-resident. Requires kh*kw <= 64.
     """
     n, c, h, w = xbits.shape
-    kh, kw = spec.kernel
-    dt = _window_dtype(kh * kw)
-    s, p = spec.stride, spec.padding
+    dt = _window_dtype(spec.kernel[0] * spec.kernel[1])
+    p = spec.padding
     ho, wo = spec.out_hw(h, w)
     live, live_count = _dw_live(h, w, spec)
     wrows = np.tile(wwin, n)  # filter window of each (sample, channel) plane
@@ -336,10 +377,8 @@ def _dw_conv_int(xbits: np.ndarray, wwin: np.ndarray, spec: ConvSpec) -> np.ndar
         xbp[:b, p : p + h, p : p + w] = planes[r : r + b]
         acc = win[:b]
         acc[...] = 0
-        for t in range(kh * kw):
-            di, dj = divmod(t, kw)
-            tap = xbp[:b, di : di + (ho - 1) * s + 1 : s, dj : dj + (wo - 1) * s + 1 : s]
-            np.left_shift(tap, dt.type(t), out=shifted[:b])
+        for t, (rows, cols) in enumerate(_taps(spec, ho, wo)):
+            np.left_shift(xbp[:b, rows, cols], dt.type(t), out=shifted[:b])
             acc |= shifted[:b]
         # XNOR with the filter window, live taps only
         acc ^= wrows[r : r + b, None, None]
@@ -393,7 +432,7 @@ def _regular_conv_int(xbits: np.ndarray, operand, spec: ConvSpec) -> np.ndarray:
     """
     n, c, h, w = xbits.shape
     kh, kw = spec.kernel
-    s, p = spec.stride, spec.padding
+    p = spec.padding
     ho, wo = spec.out_hw(h, w)
     o = spec.out_channels
 
@@ -402,10 +441,9 @@ def _regular_conv_int(xbits: np.ndarray, operand, spec: ConvSpec) -> np.ndarray:
     xt[:, p : p + h, p : p + w, :] = np.moveaxis(xbits, 1, -1)
     xw = _pack_rows(xt)
     nchan_words = xw.shape[-1]
-    cols = np.empty((n, ho, wo, kh, kw, nchan_words), dtype=np.uint64)
-    for di in range(kh):
-        for dj in range(kw):
-            cols[:, :, :, di, dj] = xw[:, di : di + (ho - 1) * s + 1 : s, dj : dj + (wo - 1) * s + 1 : s]
+    cols = np.empty((n, ho, wo, kh * kw, nchan_words), dtype=np.uint64)
+    for t, (rows, tap_cols) in enumerate(_taps(spec, ho, wo)):
+        cols[:, :, :, t] = xw[:, rows, tap_cols]
     cols = cols.reshape(n * ho * wo, -1)
     wcols, wpop = operand
 
@@ -498,7 +536,12 @@ def conv_multi_dw(x, branches, spec: ConvSpec) -> np.ndarray:
     bits = sign_bits(x, [np.broadcast_to(t, (c,)) for t in thresholds])
     kspec = ConvSpec(k * c, k * c, spec.kernel, spec.stride, spec.padding, k * c)
     y = conv_binary(bits, stacked, kspec).astype(np.result_type(x, *magnitudes), copy=False)
-    out = y[:, :c] if k == 1 else y[:, :c] + y[:, c : 2 * c]
-    for i in range(2, k):
-        out += y[:, i * c : (i + 1) * c]
+    return branch_sum(y.reshape(y.shape[0], k, c, *y.shape[2:]))
+
+
+def branch_sum(t: np.ndarray) -> np.ndarray:
+    """Sum of a (batch, N, ...) array over its branch axis, in branch order."""
+    out = t[:, 0] if t.shape[1] == 1 else t[:, 0] + t[:, 1]
+    for i in range(2, t.shape[1]):
+        out += t[:, i]
     return out

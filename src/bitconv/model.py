@@ -9,9 +9,11 @@ precision; variant "A" binarizes everything between stem and head.
 
 Every layer implements its own backward pass; quantizers use the clipped
 straight-through estimator and the magnitudes/thresholds receive the
-gradients of the continuous surrogate. Inference can also run through the
-bit-packed kernels (forward_packed), which matches the float path bit for
-bit in float32 and float64 nets: accumulation is integer-exact and each
+gradients of the continuous surrogate. A binary layer runs all its branches
+as one float conv over their stacked channels, through one quantizer path
+whose inputs are live, or replayed from a capture for curvature probes.
+Inference can also run through the bit-packed kernels (forward_packed),
+which matches the float path bit for bit in float32 and float64 nets: accumulation is integer-exact and each
 branch's scaled output is rounded to the net dtype before the branches
 sum. Activations reach the kernels unpacked, as tensor.sign_bits arrays.
 A binary layer packs its sign filters, and the kernels build their filter
@@ -32,10 +34,9 @@ import numpy as np
 from . import layers as L
 from . import tensor as T
 from .analysis import LayerCost, conv_cost
-from .kernels import (BinaryConvWeights, ConvSpec, conv_binary, conv_float,
+from .kernels import (BinaryConvWeights, ConvSpec, branch_sum, conv_binary, conv_float,
                       conv_float_grad_input, conv_float_grad_weight, conv_multi_dw)
 from .layers import BlockTopology
-from .quantize import ste_grad_sign
 
 STE_CLIP = 1.0
 FORMAT_VERSION = 1
@@ -99,8 +100,7 @@ class FloatConv(Layer):
         self._x = x
         return conv_float(x, self.w, self.spec)
 
-    def forward_packed(self, x):
-        return conv_float(x, self.w, self.spec)
+    forward_packed = forward
 
     def backward(self, gy):
         self.gw += conv_float_grad_weight(self._x, gy, self.spec)
@@ -120,6 +120,13 @@ class MultiBinaryConv(Layer):
     and per-input-channel activation threshold. With weights_binary False
     (step one of two-step training) the latent weights are used directly
     and magnitudes are inactive; activations are always sign-quantized.
+
+    All branches run as one float conv over N*C stacked channels, with one
+    forward and backward for the quantizer modes (freeze_mode) None (live),
+    "capture" and "use". The +/-1 activations and weights and the clip
+    masks come from the live values, or in "use" mode from the last
+    "capture": each quantizer is then the affine map value + clip_mask *
+    (arg - arg_at_capture), the path the straight-through backward follows.
     """
 
     def __init__(self, name: str, spec: ConvSpec, n_branches: int, rng, dtype=np.float32):
@@ -130,20 +137,21 @@ class MultiBinaryConv(Layer):
         self.name = name
         self.spec = spec
         self.n = n_branches
+        c = n_branches * spec.in_channels
+        self.stacked_spec = spec if n_branches == 1 else ConvSpec(c, c, spec.kernel, spec.stride, spec.padding, c)
         self.weights_binary = True
         fan_in = spec.group_in * spec.kernel[0] * spec.kernel[1]
-        self.w, self.beta, self.thr = [], [], []
+        # one (N, ...) array per kind of parameter; w, beta, thr, gw... list its branches
+        self._w = np.stack([(rng.standard_normal(spec.weight_shape()) * np.sqrt(2.0 / fan_in)).astype(dtype)
+                            for _ in range(n_branches)])
+        self._beta = np.zeros((n_branches, spec.out_channels), dtype=dtype)
+        self._thr = np.empty((n_branches, spec.in_channels), dtype=dtype)
         # spread initial thresholds symmetrically so branch levels differ at init
-        offsets = np.linspace(-0.25, 0.25, n_branches) if n_branches > 1 else [0.0]
-        for i in range(n_branches):
-            w = (rng.standard_normal(spec.weight_shape()) * np.sqrt(2.0 / fan_in)).astype(dtype)
-            self.w.append(w)
-            self.beta.append(None)  # set by init_magnitudes
-            self.thr.append(np.full(spec.in_channels, offsets[i], dtype=dtype))
+        self._thr[...] = np.linspace(-0.25, 0.25, n_branches)[:, None] if n_branches > 1 else 0.0
+        self._gw, self._gbeta, self._gthr = (np.zeros_like(a) for a in (self._w, self._beta, self._thr))
+        self.w, self.beta, self.thr = list(self._w), list(self._beta), list(self._thr)
+        self.gw, self.gbeta, self.gthr = list(self._gw), list(self._gbeta), list(self._gthr)
         self.init_magnitudes()
-        self.gw = [np.zeros_like(w) for w in self.w]
-        self.gbeta = [np.zeros_like(b) for b in self.beta]
-        self.gthr = [np.zeros_like(t) for t in self.thr]
         self._cache = None
         self._packed = None  # (latent weights copied at packing, packed filters)
         # quantization-decision freezing for curvature probes: None (live),
@@ -153,86 +161,46 @@ class MultiBinaryConv(Layer):
 
     def init_magnitudes(self):
         """Per-output-channel magnitude = mean |latent weight|, scaled 1/N."""
-        for i in range(self.n):
-            m = np.abs(self.w[i]).mean(axis=(1, 2, 3)) / self.n
-            self.beta[i] = m.astype(self.w[i].dtype)
+        self._beta[...] = np.abs(self._w).mean(axis=(2, 3, 4)) / self.n
 
     def params(self):
-        out = {}
-        for i in range(self.n):
-            out[f"w{i}"] = self.w[i]
-            out[f"beta{i}"] = self.beta[i]
-            out[f"thr{i}"] = self.thr[i]
-        return out
+        return {f"{k}{i}": getattr(self, k)[i] for i in range(self.n) for k in ("w", "beta", "thr")}
 
     def grads(self):
-        out = {}
-        for i in range(self.n):
-            out[f"w{i}"] = self.gw[i]
-            out[f"beta{i}"] = self.gbeta[i]
-            out[f"thr{i}"] = self.gthr[i]
-        return out
+        return {f"{k}{i}": getattr(self, "g" + k)[i] for i in range(self.n) for k in ("w", "beta", "thr")}
 
     def filter_params(self):
         return {f"w{i}" for i in range(self.n)}
 
+    def _clip_masks(self, x):
+        """Clip masks |arg| <= STE_CLIP of the live input per branch and of the weights."""
+        d = x[:, None] - self._thr[None, :, :, None, None]
+        np.abs(d, out=d)
+        return d <= STE_CLIP, np.abs(self._w.reshape(self.stacked_spec.weight_shape())) <= STE_CLIP
+
     def forward(self, x, training=False):
-        if self.freeze_mode == "use":
-            return self._forward_frozen(x)
-        acts, signs, outs = [], [], []
-        y = None
-        for i in range(self.n):
-            a = np.where(x >= self.thr[i].reshape(1, -1, 1, 1), 1.0, -1.0).astype(x.dtype)
-            acts.append(a)
-            if self.weights_binary:
-                ws = np.where(self.w[i] >= 0, 1.0, -1.0).astype(self.w[i].dtype)
-                signs.append(ws)
-                zi = conv_float(a, ws, self.spec)
-                outs.append(zi)
-                yi = zi * self.beta[i][None, :, None, None]
-            else:
-                signs.append(None)
-                outs.append(None)
-                yi = conv_float(a, self.w[i], self.spec)
-            y = yi if y is None else y + yi
-        self._cache = ("live", x, acts, signs, outs)
+        w = self._w.reshape(self.stacked_spec.weight_shape())  # (N*O, C/groups, kh, kw)
+        if self.freeze_mode == "use":  # value + clip_mask * (arg - arg_at_capture)
+            if self._frozen is None:
+                raise RuntimeError("no captured quantization decisions to replay")
+            fz = self._frozen
+            a = (x - fz["x0"])[:, None] * fz["mask_x"]
+            a += fz["a"]
+            ws = (w - fz["w0"]) * fz["mask_w"]
+            ws += fz["ws"]
+        else:
+            a = (x[:, None] >= self._thr[None, :, :, None, None]).astype(x.dtype) * 2 - 1
+            ws = (w >= 0).astype(w.dtype) * 2 - 1 if self.weights_binary else w
         if self.freeze_mode == "capture":
             if not self.weights_binary:
                 raise RuntimeError("quantization freezing requires binarized weights")
-            self._frozen = {
-                "x0": x.copy(),
-                "a": acts,
-                "ws": signs,
-                "w0": [w.copy() for w in self.w],
-                "in_hw": x.shape[2:],
-                "mask_x": [
-                    (np.abs(x - t.reshape(1, -1, 1, 1)) <= STE_CLIP).astype(x.dtype)
-                    for t in self.thr
-                ],
-                "mask_w": [(np.abs(w) <= STE_CLIP).astype(w.dtype) for w in self.w],
-            }
-        return y
-
-    def _forward_frozen(self, x):
-        """First-order surrogate: each quantizer acts as the affine map
-        value + clip_mask * (arg - arg_at_capture), which is exactly the
-        path the straight-through backward differentiates."""
-        if self._frozen is None:
-            raise RuntimeError("no captured quantization decisions to replay")
-        fz = self._frozen
-        a_lin, w_lin, outs = [], [], []
-        y = None
-        for i in range(self.n):
-            ai = fz["a"][i] + fz["mask_x"][i] * (x - fz["x0"])
-            wi = fz["ws"][i] + fz["mask_w"][i] * (self.w[i] - fz["w0"][i])
-            zi = conv_float(ai, wi, self.spec)
-            a_lin.append(ai)
-            w_lin.append(wi)
-            outs.append(zi)
-            yi = zi * self.beta[i][None, :, None, None]
-            y = yi if y is None else y + yi
-        self._cache = ("frozen", a_lin, w_lin, outs)
-        return y
+            mask_x, mask_w = self._clip_masks(x)
+            self._frozen = {"x0": x.copy(), "a": a, "ws": ws, "w0": w.copy(), "mask_x": mask_x, "mask_w": mask_w}
+        a = a.reshape(x.shape[0], -1, *x.shape[2:])  # (batch, N*C, H, W)
+        z = conv_float(a, ws, self.stacked_spec)
+        z = z.reshape(x.shape[0], self.n, -1, *z.shape[2:])  # (batch, N, O, Ho, Wo)
+        self._cache = (x, a, ws, z)
+        return branch_sum(z * self._beta[None, :, :, None, None] if self.weights_binary else z)
 
     def forward_packed(self, x):
         """Inference through the bit-packed kernels (weights_binary only)."""
@@ -254,48 +222,28 @@ class MultiBinaryConv(Layer):
         permutation, set_flat_params, load_state and a direct write all
         show. Thresholds and magnitudes are not kept: callers read them live.
         """
-        if self._packed is None or not all(
-                np.array_equal(w0, w) for w0, w in zip(self._packed[0], self.w)):
-            self._packed = ([w.copy() for w in self.w],
-                            [BinaryConvWeights(T.pack(w, 0.0)) for w in self.w])
+        if self._packed is None or not np.array_equal(self._packed[0], self._w):
+            self._packed = (self._w.copy(), [BinaryConvWeights(T.pack(w, 0.0)) for w in self.w])
         return self._packed[1]
 
     def backward(self, gy):
-        if self._cache[0] == "frozen":
-            return self._backward_frozen(gy)
-        _, x, acts, signs, outs = self._cache
-        gx = np.zeros_like(x)
-        for i in range(self.n):
-            if self.weights_binary:
-                self.gbeta[i] += np.einsum("nohw,nohw->o", gy, outs[i])
-                gz = gy * self.beta[i][None, :, None, None]
-                ga = conv_float_grad_input(gz, signs[i], self.spec, x.shape[2:])
-                gws = conv_float_grad_weight(acts[i], gz, self.spec)
-                self.gw[i] += ste_grad_sign(self.w[i], gws, STE_CLIP)
-            else:
-                ga = conv_float_grad_input(gy, self.w[i], self.spec, x.shape[2:])
-                self.gw[i] += conv_float_grad_weight(acts[i], gy, self.spec)
-            shifted = x - self.thr[i].reshape(1, -1, 1, 1)
-            ga_in = ste_grad_sign(shifted, ga, STE_CLIP)
-            gx += ga_in
-            self.gthr[i] += -ga_in.sum(axis=(0, 2, 3))
-        return gx
-
-    def _backward_frozen(self, gy):
-        """Exact backward of the affine-surrogate forward."""
-        _, a_lin, w_lin, outs = self._cache
-        fz = self._frozen
-        gx = None
-        for i in range(self.n):
-            self.gbeta[i] += np.einsum("nohw,nohw->o", gy, outs[i])
-            gz = gy * self.beta[i][None, :, None, None]
-            ga = conv_float_grad_input(gz, w_lin[i], self.spec, fz["in_hw"])
-            gws = conv_float_grad_weight(a_lin[i], gz, self.spec)
-            self.gw[i] += fz["mask_w"][i] * gws
-            ga_in = fz["mask_x"][i] * ga
-            gx = ga_in if gx is None else gx + ga_in
-            self.gthr[i] += -ga_in.sum(axis=(0, 2, 3))
-        return gx
+        x, a, ws, z = self._cache
+        fz = self._frozen if self.freeze_mode == "use" else None
+        mask_x, mask_w = self._clip_masks(x) if fz is None else (fz["mask_x"], fz["mask_w"])
+        if self.weights_binary:
+            self._gbeta += np.einsum("nohw,nkohw->ko", gy, z)
+            gz = gy[:, None] * self._beta[None, :, :, None, None]
+        else:
+            gz = np.broadcast_to(gy[:, None], z.shape)
+        gz = gz.reshape(a.shape[0], -1, *gy.shape[2:])
+        gws = conv_float_grad_weight(a, gz, self.stacked_spec)
+        if self.weights_binary:
+            gws *= mask_w
+        self._gw += gws.reshape(self._gw.shape)
+        ga = conv_float_grad_input(gz, ws, self.stacked_spec, a.shape[2:]).reshape(mask_x.shape)
+        ga *= mask_x
+        self._gthr -= ga.sum(axis=(0, 3, 4))
+        return branch_sum(ga)
 
     def post_step(self):
         """Keep branch thresholds sorted per channel by permuting whole branches.
@@ -305,20 +253,10 @@ class MultiBinaryConv(Layer):
         """
         if self.n < 2 or not self.spec.is_depthwise:
             return
-        thr = np.stack(self.thr)  # (n, C)
-        order = np.argsort(thr, axis=0, kind="stable")
-        if np.array_equal(order, np.tile(np.arange(self.n)[:, None], (1, thr.shape[1]))):
-            return
-        beta = np.stack(self.beta)
-        w = np.stack(self.w)  # (n, C, 1, kh, kw)
-        cols = np.arange(thr.shape[1])
-        thr_s = thr[order, cols]
-        beta_s = beta[order, cols]
-        w_s = w[order, cols]
-        for i in range(self.n):
-            self.thr[i][:] = thr_s[i]
-            self.beta[i][:] = beta_s[i]
-            self.w[i][:] = w_s[i]
+        order = np.argsort(self._thr, axis=0, kind="stable")
+        cols = np.arange(self._thr.shape[1])
+        for a in (self._thr, self._beta, self._w):
+            a[...] = a[order, cols]
 
     def layer_costs(self, in_hw):
         return [conv_cost(self.spec, in_hw, self.weights_binary, self.name, self.n)]
@@ -868,7 +806,7 @@ def load(data: bytes) -> ModelCheckpoint:
         manifest = json.loads(raw)
         crc, entries = manifest["payload_crc32"], manifest["entries"]
         config = ModelConfig.from_json(manifest["config"])
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, RecursionError) as e:  # RecursionError: nesting too deep
         raise CheckpointError(f"malformed checkpoint manifest: {e!r}") from e
     body = fh.read()
     if zlib.crc32(body) != crc:
@@ -877,7 +815,10 @@ def load(data: bytes) -> ModelCheckpoint:
     tensors = {}
     try:
         for entry in entries:
-            tensors[entry["name"]] = T.read_dense(bio).reshape(entry["shape"])
+            shape = entry["shape"]
+            if not isinstance(shape, list) or not all(type(d) is int and d >= 1 for d in shape):
+                raise CheckpointError(f"entry {entry['name']!r} has invalid shape {shape!r}")
+            tensors[entry["name"]] = T.read_dense(bio).reshape(shape)
     except (KeyError, TypeError, ValueError) as e:  # ValueError includes T.ContainerError
         raise CheckpointError(f"bad checkpoint entry: {e!r}") from e
     return ModelCheckpoint(config, tensors, int(version))

@@ -346,17 +346,21 @@ def load_csv_dataset(path, image_shape, classes: int, split: str = "train") -> D
     want = c * h * w
     xs, ys = [], []
     with open(path, newline="") as fh:
-        for ln, row in enumerate(csv.reader(fh), 1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if row[0].strip() == "label":  # optional header
-                continue
-            if len(row) != 1 + want:
-                raise ValueError(f"{path}:{ln}: expected {1 + want} fields, got {len(row)}")
-            ys.append(int(row[0]))
-            xs.append(np.asarray(row[1:], dtype=np.float64))
-            if not np.all(np.isfinite(xs[-1])):
-                raise ValueError(f"{path}:{ln}: pixel values must be finite")
+        reader = csv.reader(fh)
+        try:
+            for ln, row in enumerate(reader, 1):
+                if not row or row[0].lstrip().startswith("#"):
+                    continue
+                if row[0].strip() == "label":  # optional header
+                    continue
+                if len(row) != 1 + want:
+                    raise ValueError(f"{path}:{ln}: expected {1 + want} fields, got {len(row)}")
+                ys.append(int(row[0]))
+                xs.append(np.asarray(row[1:], dtype=np.float64))
+                if not np.all(np.isfinite(xs[-1])):
+                    raise ValueError(f"{path}:{ln}: pixel values must be finite")
+        except csv.Error as e:  # e.g. a field over the csv module's size limit
+            raise ValueError(f"{path}:{reader.line_num}: {e}") from e
     if not xs:
         raise ValueError(f"{path}: no data rows")
     x = np.stack(xs).reshape(len(xs), c, h, w)

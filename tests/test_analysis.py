@@ -185,6 +185,14 @@ class TestHessianTopK:
         with pytest.raises(ValueError):
             A.hessian_topk_operator(lambda v: v, 5, 11)
 
+    @pytest.mark.parametrize("k,shift", [(1, "auto"), (3, "auto"), (2, 12.0)])
+    def test_reports_hvps_used(self, k, shift):
+        a, eigs = self._spd_probe(12, seed=11)
+        calls = []
+        est = A.hessian_topk_operator(lambda v: calls.append(1) or a @ v, 12, k, seed=4, shift=shift)
+        assert np.allclose([e.value for e in est], eigs[:k], rtol=1e-3)
+        assert calls and all(e.hvps == len(calls) for e in est)
+
 
 class TestLandscape:
     def _net_and_batch(self):

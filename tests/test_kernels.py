@@ -106,6 +106,71 @@ class TestConvFloatGrads:
             assert abs(gw[idx] - fd) < 1e-5 * max(1.0, abs(fd))
 
 
+def dw_per_channel(x, w, gy, spec):
+    """conv_float, conv_float_grad_input and conv_float_grad_weight of a
+    depth-wise spec, one channel at a time: each output (or input-gradient)
+    element sums its taps in row-major order, starting from zero."""
+    n, c, h, wd = x.shape
+    kh, kw = spec.kernel
+    s, p = spec.stride, spec.padding
+    ho, wo = spec.out_hw(h, wd)
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    y = np.zeros((n, c, ho, wo))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros(spec.weight_shape())
+    for ch in range(c):
+        for di in range(kh):
+            for dj in range(kw):
+                rows = slice(di, di + (ho - 1) * s + 1, s)
+                cols = slice(dj, dj + (wo - 1) * s + 1, s)
+                y[:, ch] += xp[:, ch, rows, cols] * w[ch, 0, di, dj]
+                gxp[:, ch, rows, cols] += gy[:, ch] * w[ch, 0, di, dj]
+                gw[ch, 0, di, dj] = np.einsum("nhw,nhw->", xp[:, ch, rows, cols], gy[:, ch])
+    return y, gxp[:, :, p : p + h, p : p + wd], gw
+
+
+class TestDepthwiseFloatBlocks:
+    """The depth-wise float kernels run over blocks of (sample, channel)
+    planes; the result must not depend on where the block edges fall."""
+
+    @pytest.mark.parametrize("n", [1, 32, 96])
+    @pytest.mark.parametrize("blocks", ["one", "several"])
+    @pytest.mark.parametrize("k,stride,pad", [
+        (1, 1, 0), (1, 2, 1), (3, 1, 1), (3, 2, 1), (3, 1, 0), (3, 2, 0), (5, 1, 1), (5, 2, 0),
+    ])
+    def test_matches_per_channel_loop(self, n, blocks, k, stride, pad):
+        h = 9
+        ho = (h + 2 * pad - k) // stride + 1
+        for plane_elems, kernel in ((ho * ho, "forward"), (h * h, "grad_input")):
+            per_block = K._FLOAT_BLOCK_ELEMS // plane_elems
+            # channels that fill less than one block, or spill past a block
+            # edge without a whole number of blocks
+            c = max(1, per_block // n - 1) if blocks == "one" else per_block // n + 1
+            assert (n * c <= per_block) == (blocks == "one") and n * c % per_block
+            spec = K.ConvSpec(c, c, (k, k), stride, pad, groups=c)
+            rng = np.random.default_rng(n * c + k)
+            x = rng.standard_normal((n, c, h, h))
+            w = rng.standard_normal(spec.weight_shape())
+            gy = rng.standard_normal((n, c, ho, ho))
+            y, gx, gw = dw_per_channel(x, w, gy, spec)
+            if kernel == "forward":
+                assert np.array_equal(K.conv_float(x, w, spec), y)
+                got = K.conv_float_grad_weight(x, gy, spec)
+                assert np.abs(got - gw).max() <= 1e-12 * np.abs(gw).max()
+            else:
+                assert np.array_equal(K.conv_float_grad_input(gy, w, spec, (h, h)), gx)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_dtype(self, dtype):
+        spec = K.ConvSpec(4, 4, (3, 3), 1, 1, groups=4)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 4, 6, 6)).astype(dtype)
+        w = rng.standard_normal(spec.weight_shape()).astype(dtype)
+        assert K.conv_float(x, w, spec).dtype == dtype
+        assert K.conv_float_grad_input(x, w, spec, (6, 6)).dtype == dtype
+        assert K.conv_float_grad_weight(x, x, spec).dtype == dtype
+
+
 class TestConvBinary:
     def test_all_agree_depthwise(self):
         spec = K.ConvSpec(2, 2, (3, 3), groups=2)

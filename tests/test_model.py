@@ -6,10 +6,11 @@ import pytest
 from bitconv import kernels as K
 from bitconv import model as M
 from bitconv import tensor as T
+from bitconv.quantize import ste_grad_sign
 from bitconv.analysis import count_ops
 from bitconv.kernels import ConvSpec
 from bitconv.layers import BlockTopology
-from bitconv.train import TrainConfig, ablation_config, gen_synthetic, train
+from bitconv.train import TrainConfig, ablation_config, batch_gradient, gen_synthetic, train
 
 
 def small_config(**kw):
@@ -334,3 +335,186 @@ class TestBranchResort:
         net = M.build_float_probe()
         y = net.forward(np.zeros((2, 1, 8, 8)))
         assert y.shape == (2, 3)
+
+
+# ---------------------------------------------------------------------------
+# One quantizer path for the live, capture and use modes
+# ---------------------------------------------------------------------------
+
+
+def per_branch_capture(layer, x0):
+    """Decisions recorded at x0, per branch: signs and float clip masks."""
+    return {
+        "x0": x0.copy(),
+        "a": [np.where(x0 >= t.reshape(1, -1, 1, 1), 1.0, -1.0).astype(x0.dtype) for t in layer.thr],
+        "ws": [np.where(w >= 0, 1.0, -1.0).astype(w.dtype) for w in layer.w],
+        "w0": [w.copy() for w in layer.w],
+        "mask_x": [(np.abs(x0 - t.reshape(1, -1, 1, 1)) <= M.STE_CLIP).astype(x0.dtype) for t in layer.thr],
+        "mask_w": [(np.abs(w) <= M.STE_CLIP).astype(w.dtype) for w in layer.w],
+    }
+
+
+def per_branch_pass(layer, x, gy, fz=None):
+    """Forward and backward with one float conv per branch: the live
+    straight-through formulas, or with fz the frozen affine surrogate
+    a + mask_x * (x - x0), ws + mask_w * (w - w0). Returns
+    (y, gx, gw, gbeta, gthr), the last three per branch."""
+    spec, binary = layer.spec, layer.weights_binary
+    y = gx = None
+    gw, gbeta, gthr = [], [], []
+    for i in range(layer.n):
+        thr = layer.thr[i].reshape(1, -1, 1, 1)
+        beta = layer.beta[i][None, :, None, None]
+        if fz is None:
+            a = np.where(x >= thr, 1.0, -1.0).astype(x.dtype)
+            ws = np.where(layer.w[i] >= 0, 1.0, -1.0).astype(layer.w[i].dtype) if binary else layer.w[i]
+        else:
+            a = fz["a"][i] + fz["mask_x"][i] * (x - fz["x0"])
+            ws = fz["ws"][i] + fz["mask_w"][i] * (layer.w[i] - fz["w0"][i])
+        z = K.conv_float(a, ws, spec)
+        yi = z * beta if binary else z
+        y = yi if y is None else y + yi
+        gz = gy * beta if binary else gy
+        gbeta.append(np.einsum("nohw,nohw->o", gy, z) if binary else np.zeros_like(layer.beta[i]))
+        ga = K.conv_float_grad_input(gz, ws, spec, x.shape[2:])
+        gws = K.conv_float_grad_weight(a, gz, spec)
+        if fz is None:
+            gw.append(ste_grad_sign(layer.w[i], gws, M.STE_CLIP) if binary else gws)
+            ga_in = ste_grad_sign(x - thr, ga, M.STE_CLIP)
+        else:
+            gw.append(fz["mask_w"][i] * gws)
+            ga_in = fz["mask_x"][i] * ga
+        gx = ga_in if gx is None else gx + ga_in
+        gthr.append(-ga_in.sum(axis=(0, 2, 3)))
+    return y, gx, gw, gbeta, gthr
+
+
+def layer_pass(layer, x, gy):
+    for g in layer.gw + layer.gbeta + layer.gthr:
+        g[...] = 0
+    y = layer.forward(x)
+    gx = layer.backward(gy)
+    return y, gx, [g.copy() for g in layer.gw], [g.copy() for g in layer.gbeta], [g.copy() for g in layer.gthr]
+
+
+def assert_matches_per_branch(got, want, dtype):
+    """Forward and input gradient bit for bit; the parameter gradients are
+    reductions that may run in another order, so to a bound set by dtype."""
+    rtol = 1e-12 if dtype == np.float64 else 1e-5
+    assert np.array_equal(got[0], want[0])
+    assert got[0].dtype == want[0].dtype == dtype
+    assert np.array_equal(got[1], want[1])
+    for kind, g, r in zip(("w", "beta", "thr"), got[2:], want[2:]):
+        for gi, ri in zip(g, r):
+            assert gi.shape == ri.shape and gi.dtype == dtype, kind
+            assert np.abs(gi - ri).max() <= rtol * max(np.abs(ri).max(), 1e-30), kind
+
+
+LAYER_CASES = [(n, "dw", s) for n in (1, 2, 3, 4) for s in (1, 2)] + [(1, "pw", 1)]
+
+
+def make_layer(n, kind, stride, dtype, seed=0):
+    c = 6
+    spec = (ConvSpec(c, c, (3, 3), stride, 1, groups=c) if kind == "dw"
+            else ConvSpec(c, 10, (1, 1), stride, 0))
+    layer = M.MultiBinaryConv("l", spec, n, np.random.default_rng(seed), dtype)
+    rng = np.random.default_rng(seed + 1)
+    for i in range(n):  # weights and thresholds on both sides of the clip
+        layer.w[i][...] = rng.standard_normal(spec.weight_shape()) * 0.9
+        layer.thr[i][...] = rng.uniform(-0.6, 0.6, c)
+    x = (rng.standard_normal((5, c, 7, 7)) * 1.2).astype(dtype)
+    gy = rng.standard_normal((5, spec.out_channels, *spec.out_hw(7, 7))).astype(dtype)
+    return layer, x, gy
+
+
+class TestSingleQuantizerPath:
+    """MultiBinaryConv runs every branch in one float conv, with one forward
+    and backward for the live, capture and use modes; each must equal the
+    per-branch formulas it replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("binary", [True, False])
+    @pytest.mark.parametrize("n,kind,stride", LAYER_CASES)
+    def test_live_matches_per_branch(self, n, kind, stride, binary, dtype):
+        layer, x, gy = make_layer(n, kind, stride, dtype)
+        layer.weights_binary = binary
+        assert_matches_per_branch(layer_pass(layer, x, gy), per_branch_pass(layer, x, gy), dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,kind,stride", LAYER_CASES)
+    def test_capture_and_use_match_per_branch(self, n, kind, stride, dtype):
+        layer, x0, gy = make_layer(n, kind, stride, dtype)
+        fz = per_branch_capture(layer, x0)
+        live = per_branch_pass(layer, x0, gy)
+        layer.freeze_mode = "capture"
+        assert_matches_per_branch(layer_pass(layer, x0, gy), live, dtype)
+        # move input and weights off the capture point, across the clip edges
+        rng = np.random.default_rng(n)
+        x = (x0 + 0.3 * rng.standard_normal(x0.shape)).astype(dtype)
+        for w in layer.w:
+            w += (0.3 * rng.standard_normal(w.shape)).astype(dtype)
+        layer.freeze_mode = "use"
+        assert_matches_per_branch(layer_pass(layer, x, gy), per_branch_pass(layer, x, gy, fz), dtype)
+
+    def test_use_at_capture_point_is_live(self):
+        net = M.build(ablation_config("prebn_dual", classes=3), seed=2, dtype=np.float64)
+        rng = np.random.default_rng(2)
+        batch = (rng.standard_normal((12, 1, 8, 8)), rng.integers(0, 3, 12))
+        net.set_bn_stat_updates(False)
+        live_logits = net.forward(batch[0])
+        live_grad = batch_gradient(net, batch)
+        net.set_quant_mode("capture")
+        assert np.array_equal(batch_gradient(net, batch), live_grad)
+        net.set_quant_mode("use")
+        assert np.array_equal(net.forward(batch[0]), live_logits)
+        assert np.array_equal(batch_gradient(net, batch), live_grad)
+
+    @pytest.mark.parametrize("n,kind,stride", [(1, "pw", 1), (1, "dw", 1), (2, "dw", 2), (3, "dw", 1)])
+    def test_use_gradients_match_central_differences(self, n, kind, stride):
+        # the replayed forward is affine in x and w and linear in beta, so
+        # the loss <y, gy> is quadratic and central differences are exact
+        # up to rounding. thr is left out: the replayed forward ignores it
+        # while the backward returns its straight-through gradient (ROADMAP
+        # item 1, defect B).
+        layer, x, gy = make_layer(n, kind, stride, np.float64)
+        layer.freeze_mode = "capture"
+        layer.forward(x)
+        layer.freeze_mode = "use"
+        rng = np.random.default_rng(3)
+        x = x + 0.2 * rng.standard_normal(x.shape)
+        _, gx, gw, gbeta, _ = layer_pass(layer, x, gy)
+
+        def loss():
+            return float((layer.forward(x) * gy).sum())
+
+        def central(arr, idx, h=1e-5):
+            old = arr[idx]
+            arr[idx] = old + h
+            up = loss()
+            arr[idx] = old - h
+            down = loss()
+            arr[idx] = old
+            return (up - down) / (2 * h)
+
+        checks = [(x, gx)] + list(zip(layer.w, gw)) + list(zip(layer.beta, gbeta))
+        for arr, grad in checks:
+            for flat in rng.choice(arr.size, size=6, replace=False):
+                idx = np.unravel_index(flat, arr.shape)
+                assert abs(central(arr, idx) - grad[idx]) <= 1e-6 * max(1.0, abs(grad[idx]))
+
+    def test_use_without_capture_raises(self):
+        layer, x, _ = make_layer(2, "dw", 1, np.float64)
+        layer.freeze_mode = "use"
+        with pytest.raises(RuntimeError, match="captured"):
+            layer.forward(x)
+        net = M.build(small_config(), seed=0, dtype=np.float64)
+        net.set_quant_mode("use")
+        with pytest.raises(RuntimeError):
+            net.forward(np.zeros((2, 1, 8, 8)))
+
+    def test_capture_requires_binarized_weights(self):
+        layer, x, _ = make_layer(2, "dw", 1, np.float64)
+        layer.weights_binary = False
+        layer.freeze_mode = "capture"
+        with pytest.raises(RuntimeError, match="binarized"):
+            layer.forward(x)
