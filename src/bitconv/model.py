@@ -141,16 +141,14 @@ class MultiBinaryConv(Layer):
         self.stacked_spec = spec if n_branches == 1 else ConvSpec(c, c, spec.kernel, spec.stride, spec.padding, c)
         self.weights_binary = True
         fan_in = spec.group_in * spec.kernel[0] * spec.kernel[1]
-        # one (N, ...) array per kind of parameter; w, beta, thr, gw... list its branches
-        self._w = np.stack([(rng.standard_normal(spec.weight_shape()) * np.sqrt(2.0 / fan_in)).astype(dtype)
+        # one (N, ...) array per kind of parameter and gradient, indexed by branch
+        self.w = np.stack([(rng.standard_normal(spec.weight_shape()) * np.sqrt(2.0 / fan_in)).astype(dtype)
                             for _ in range(n_branches)])
-        self._beta = np.zeros((n_branches, spec.out_channels), dtype=dtype)
-        self._thr = np.empty((n_branches, spec.in_channels), dtype=dtype)
+        self.beta = np.zeros((n_branches, spec.out_channels), dtype=dtype)
+        self.thr = np.empty((n_branches, spec.in_channels), dtype=dtype)
         # spread initial thresholds symmetrically so branch levels differ at init
-        self._thr[...] = np.linspace(-0.25, 0.25, n_branches)[:, None] if n_branches > 1 else 0.0
-        self._gw, self._gbeta, self._gthr = (np.zeros_like(a) for a in (self._w, self._beta, self._thr))
-        self.w, self.beta, self.thr = list(self._w), list(self._beta), list(self._thr)
-        self.gw, self.gbeta, self.gthr = list(self._gw), list(self._gbeta), list(self._gthr)
+        self.thr[...] = np.linspace(-0.25, 0.25, n_branches)[:, None] if n_branches > 1 else 0.0
+        self.gw, self.gbeta, self.gthr = (np.zeros_like(a) for a in (self.w, self.beta, self.thr))
         self.init_magnitudes()
         self._cache = None
         self._packed = None  # (latent weights copied at packing, packed filters)
@@ -161,7 +159,7 @@ class MultiBinaryConv(Layer):
 
     def init_magnitudes(self):
         """Per-output-channel magnitude = mean |latent weight|, scaled 1/N."""
-        self._beta[...] = np.abs(self._w).mean(axis=(2, 3, 4)) / self.n
+        self.beta[...] = np.abs(self.w).mean(axis=(2, 3, 4)) / self.n
 
     def params(self):
         return {f"{k}{i}": getattr(self, k)[i] for i in range(self.n) for k in ("w", "beta", "thr")}
@@ -174,12 +172,12 @@ class MultiBinaryConv(Layer):
 
     def _clip_masks(self, x):
         """Clip masks |arg| <= STE_CLIP of the live input per branch and of the weights."""
-        d = x[:, None] - self._thr[None, :, :, None, None]
+        d = x[:, None] - self.thr[None, :, :, None, None]
         np.abs(d, out=d)
-        return d <= STE_CLIP, np.abs(self._w.reshape(self.stacked_spec.weight_shape())) <= STE_CLIP
+        return d <= STE_CLIP, np.abs(self.w.reshape(self.stacked_spec.weight_shape())) <= STE_CLIP
 
     def forward(self, x, training=False):
-        w = self._w.reshape(self.stacked_spec.weight_shape())  # (N*O, C/groups, kh, kw)
+        w = self.w.reshape(self.stacked_spec.weight_shape())  # (N*O, C/groups, kh, kw)
         if self.freeze_mode == "use":  # value + clip_mask * (arg - arg_at_capture)
             if self._frozen is None:
                 raise RuntimeError("no captured quantization decisions to replay")
@@ -189,7 +187,7 @@ class MultiBinaryConv(Layer):
             ws = (w - fz["w0"]) * fz["mask_w"]
             ws += fz["ws"]
         else:
-            a = (x[:, None] >= self._thr[None, :, :, None, None]).astype(x.dtype) * 2 - 1
+            a = (x[:, None] >= self.thr[None, :, :, None, None]).astype(x.dtype) * 2 - 1
             ws = (w >= 0).astype(w.dtype) * 2 - 1 if self.weights_binary else w
         if self.freeze_mode == "capture":
             if not self.weights_binary:
@@ -200,7 +198,7 @@ class MultiBinaryConv(Layer):
         z = conv_float(a, ws, self.stacked_spec)
         z = z.reshape(x.shape[0], self.n, -1, *z.shape[2:])  # (batch, N, O, Ho, Wo)
         self._cache = (x, a, ws, z)
-        return branch_sum(z * self._beta[None, :, :, None, None] if self.weights_binary else z)
+        return branch_sum(z * self.beta[None, :, :, None, None] if self.weights_binary else z)
 
     def forward_packed(self, x):
         """Inference through the bit-packed kernels (weights_binary only)."""
@@ -222,8 +220,8 @@ class MultiBinaryConv(Layer):
         permutation, set_flat_params, load_state and a direct write all
         show. Thresholds and magnitudes are not kept: callers read them live.
         """
-        if self._packed is None or not np.array_equal(self._packed[0], self._w):
-            self._packed = (self._w.copy(), [BinaryConvWeights(T.pack(w, 0.0)) for w in self.w])
+        if self._packed is None or not np.array_equal(self._packed[0], self.w):
+            self._packed = (self.w.copy(), [BinaryConvWeights(T.pack(w, 0.0)) for w in self.w])
         return self._packed[1]
 
     def backward(self, gy):
@@ -231,18 +229,18 @@ class MultiBinaryConv(Layer):
         fz = self._frozen if self.freeze_mode == "use" else None
         mask_x, mask_w = self._clip_masks(x) if fz is None else (fz["mask_x"], fz["mask_w"])
         if self.weights_binary:
-            self._gbeta += np.einsum("nohw,nkohw->ko", gy, z)
-            gz = gy[:, None] * self._beta[None, :, :, None, None]
+            self.gbeta += np.einsum("nohw,nkohw->ko", gy, z)
+            gz = gy[:, None] * self.beta[None, :, :, None, None]
         else:
             gz = np.broadcast_to(gy[:, None], z.shape)
         gz = gz.reshape(a.shape[0], -1, *gy.shape[2:])
         gws = conv_float_grad_weight(a, gz, self.stacked_spec)
         if self.weights_binary:
             gws *= mask_w
-        self._gw += gws.reshape(self._gw.shape)
+        self.gw += gws.reshape(self.gw.shape)
         ga = conv_float_grad_input(gz, ws, self.stacked_spec, a.shape[2:]).reshape(mask_x.shape)
         ga *= mask_x
-        self._gthr -= ga.sum(axis=(0, 3, 4))
+        self.gthr -= ga.sum(axis=(0, 3, 4))
         return branch_sum(ga)
 
     def post_step(self):
@@ -253,9 +251,9 @@ class MultiBinaryConv(Layer):
         """
         if self.n < 2 or not self.spec.is_depthwise:
             return
-        order = np.argsort(self._thr, axis=0, kind="stable")
-        cols = np.arange(self._thr.shape[1])
-        for a in (self._thr, self._beta, self._w):
+        order = np.argsort(self.thr, axis=0, kind="stable")
+        cols = np.arange(self.thr.shape[1])
+        for a in (self.thr, self.beta, self.w):
             a[...] = a[order, cols]
 
     def layer_costs(self, in_hw):

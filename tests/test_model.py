@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -390,7 +391,7 @@ def per_branch_pass(layer, x, gy, fz=None):
 
 
 def layer_pass(layer, x, gy):
-    for g in layer.gw + layer.gbeta + layer.gthr:
+    for g in (layer.gw, layer.gbeta, layer.gthr):
         g[...] = 0
     y = layer.forward(x)
     gx = layer.backward(gy)
@@ -511,6 +512,17 @@ class TestSingleQuantizerPath:
         net.set_quant_mode("use")
         with pytest.raises(RuntimeError):
             net.forward(np.zeros((2, 1, 8, 8)))
+
+    def test_deep_copy_forward_follows_its_own_parameters(self):
+        # landscape_grid perturbs deep copies of a network in worker threads
+        net = M.build(small_config(), seed=0, dtype=np.float64)
+        twin = copy.deepcopy(net)
+        x = np.random.default_rng(0).standard_normal((2, 1, 8, 8))
+        theta = net.get_flat_params()
+        twin.set_flat_params(-0.5 * theta)
+        assert not np.array_equal(twin.forward(x), net.forward(x))
+        net.set_flat_params(-0.5 * theta)
+        assert np.array_equal(twin.forward(x), net.forward(x))
 
     def test_capture_requires_binarized_weights(self):
         layer, x, _ = make_layer(2, "dw", 1, np.float64)
