@@ -372,12 +372,13 @@ def _dw_conv_int(xbits: np.ndarray, wwin: np.ndarray, spec: ConvSpec) -> np.ndar
     xbp = np.zeros((block, h + 2 * p, w + 2 * p), dtype=dt)  # the pad ring stays zero
     win = np.empty((block, ho, wo), dtype=dt)
     shifted = np.empty_like(win)
+    taps = _taps(spec, ho, wo)
     for r in range(0, n * c, block):
         b = min(block, n * c - r)
         xbp[:b, p : p + h, p : p + w] = planes[r : r + b]
         acc = win[:b]
         acc[...] = 0
-        for t, (rows, cols) in enumerate(_taps(spec, ho, wo)):
+        for t, (rows, cols) in enumerate(taps):
             np.left_shift(xbp[:b, rows, cols], dt.type(t), out=shifted[:b])
             acc |= shifted[:b]
         # XNOR with the filter window, live taps only

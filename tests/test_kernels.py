@@ -142,7 +142,7 @@ class TestDepthwiseFloatBlocks:
         h = 9
         ho = (h + 2 * pad - k) // stride + 1
         for plane_elems, kernel in ((ho * ho, "forward"), (h * h, "grad_input")):
-            per_block = K._FLOAT_BLOCK_ELEMS // plane_elems
+            per_block = max(K._FLOAT_BLOCK_PLANES, K._FLOAT_BLOCK_ELEMS // plane_elems)
             # channels that fill less than one block, or spill past a block
             # edge without a whole number of blocks
             c = max(1, per_block // n - 1) if blocks == "one" else per_block // n + 1
