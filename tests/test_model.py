@@ -295,7 +295,7 @@ class TestPackedFilterReuse:
         seen.clear()
         net.forward(x, packed=True)
         weights = [w for layer in binary_layers(net) for w in layer.w]
-        assert not any(t is w for t in seen for w in weights)
+        assert not any(np.shares_memory(t, w) for t in seen for w in weights)
         assert len(seen) == first - len(weights)
 
 
