@@ -2,14 +2,14 @@
 
 Binary kernels accumulate in integers via XNOR-popcount and scale by the
 per-channel magnitude at the end, so they match the float kernel on the
-decoded +/-1 operands bit for bit. The dual depth-wise conv runs two
-sign-quantized branches of the shared input and sums them.
+decoded +/-1 operands bit for bit. The multi-branch depth-wise conv runs
+sign-quantized branches of the shared input (two here) and sums them.
 """
 
 import numpy as np
 
 from bitconv.kernels import (ConvSpec, binarize_weights, conv_binary,
-                             conv_dual_dw, conv_float)
+                             conv_float, conv_multi_dw)
 from bitconv.quantize import DualQuantParams
 from bitconv.tensor import pack, unpack
 
@@ -34,7 +34,7 @@ a1 = rng.uniform(-0.5, 0.0, 8)
 q = DualQuantParams(a1, a1 + rng.uniform(0.1, 0.6, 8), rng.random(8), rng.random(8))
 w1 = binarize_weights(rng.standard_normal(spec.weight_shape()), q.beta1)
 w2 = binarize_weights(rng.standard_normal(spec.weight_shape()), q.beta2)
-dual = conv_dual_dw(x, w1, w2, q, spec)
+dual = conv_multi_dw(x, [(w1, q.alpha1, q.beta1), (w2, q.alpha2, q.beta2)], spec)
 branch1 = conv_float(unpack(pack(x, q.alpha1)), unpack(w1.packed), spec) * q.beta1.reshape(1, -1, 1, 1)
 branch2 = conv_float(unpack(pack(x, q.alpha2)), unpack(w2.packed), spec) * q.beta2.reshape(1, -1, 1, 1)
-print("dual depth-wise == sum of two quantized branches:", np.array_equal(dual, branch1 + branch2))
+print("two-branch depth-wise == sum of two quantized branches:", np.array_equal(dual, branch1 + branch2))

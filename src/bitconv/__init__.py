@@ -16,8 +16,7 @@ A from-scratch numpy library with five capability groups:
 from .tensor import BitTensor, pack, unpack, xnor_popcount_dot
 from .quantize import (BinQuantParams, DualQuantParams, binarize, ternarize,
                        effective_bits, ste_grad_sign, otsu_threshold, ternarize_image)
-from .kernels import (ConvSpec, BinaryConvWeights, conv_float, conv_binary,
-                      conv_dual_dw, conv_multi_dw)
+from .kernels import ConvSpec, BinaryConvWeights, conv_float, conv_binary, conv_multi_dw
 from .layers import BlockTopology, broadcast_residual
 from .model import ModelConfig, ModelCheckpoint, build, save, load
 # NB: the train() entry point stays at bitconv.train.train so the submodule
@@ -33,8 +32,7 @@ __all__ = [
     "BitTensor", "pack", "unpack", "xnor_popcount_dot",
     "BinQuantParams", "DualQuantParams", "binarize", "ternarize",
     "effective_bits", "ste_grad_sign", "otsu_threshold", "ternarize_image",
-    "ConvSpec", "BinaryConvWeights", "conv_float", "conv_binary",
-    "conv_dual_dw", "conv_multi_dw",
+    "ConvSpec", "BinaryConvWeights", "conv_float", "conv_binary", "conv_multi_dw",
     "BlockTopology", "broadcast_residual",
     "ModelConfig", "ModelCheckpoint", "build", "save", "load",
     "TrainConfig", "Dataset", "TrainReport", "backward", "gen_synthetic",

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import BinaryConvWeights, ConvSpec, conv_binary, conv_dual_dw, conv_float
-from .quantize import DualQuantParams
+from .kernels import BinaryConvWeights, ConvSpec, conv_binary, conv_float, conv_multi_dw
 from .tensor import pack
 
 OPS = ("float_conv", "binary_conv", "float_dw", "binary_dw", "dual_binary_dw", "residual_add")
@@ -68,8 +67,8 @@ def _make_workload(op: str, geometry, seed: int):
     if op == "dual_binary_dw":
         w2 = rng.standard_normal(spec.weight_shape()).astype(np.float32)
         packed2 = BinaryConvWeights(pack(w2, 0.0), beta)
-        q = DualQuantParams(np.full(c, -0.25), np.full(c, 0.25), beta, beta)
-        return lambda: conv_dual_dw(x, packed, packed2, q, spec)
+        branches = [(packed, np.full(c, -0.25), beta), (packed2, np.full(c, 0.25), beta)]
+        return lambda: conv_multi_dw(x, branches, spec)
     raise ValueError(f"unknown op {op!r}; choose from {OPS}")
 
 

@@ -115,8 +115,7 @@ class BinaryConvWeights:
     The kernel operand built from the filter bits (one per kernel kind:
     depth-wise window words, or the regular filter matrix and tap
     popcounts) is built on first use and kept, so ``packed`` must not
-    change after that. ``with_magnitude`` shares the operands, which
-    belong to the bits alone.
+    change after that.
     """
 
     packed: BitTensor
@@ -132,12 +131,6 @@ class BinaryConvWeights:
         ).copy()
         if np.any(self.magnitude < 0):
             raise ValueError("magnitude must be >= 0")
-
-    def with_magnitude(self, magnitude) -> "BinaryConvWeights":
-        """The same filter bits, and their kernel operands, under another magnitude."""
-        out = BinaryConvWeights(self.packed, magnitude)
-        out._operands = self._operands
-        return out
 
     def operand(self, depthwise: bool):
         """The filter side of the depth-wise or regular kernel, built once."""
@@ -499,16 +492,6 @@ def conv_binary(xb, w: BinaryConvWeights, spec: ConvSpec) -> np.ndarray:
     return acc * beta[None, :, None, None]
 
 
-def conv_dual_dw(x, w1: BinaryConvWeights, w2: BinaryConvWeights, q, spec: ConvSpec) -> np.ndarray:
-    """Dual binary depth-wise conv: two parallel sign-quantized branches.
-
-    conv_multi_dw with branches (w1, q.alpha1, w1.magnitude) and
-    (w2, q.alpha2, w2.magnitude): each packs the shared input with its own
-    rounding boundary and the outputs sum.
-    """
-    return conv_multi_dw(x, [(w1, q.alpha1, w1.magnitude), (w2, q.alpha2, w2.magnitude)], spec)
-
-
 def conv_multi_dw(x, branches, spec: ConvSpec) -> np.ndarray:
     """Sum of N parallel binary depth-wise convs, 1 <= N <= 4.
 
@@ -518,8 +501,9 @@ def conv_multi_dw(x, branches, spec: ConvSpec) -> np.ndarray:
     threshold, against the concatenated window words the branches' weights
     hold. Each branch's scaled output is cast to the dtype of x and the
     magnitudes, then the branches sum in order. |acc| * magnitude is exact
-    in float64, so the cast rounds as that dtype's product does, and a
-    float32 net's packed forward equals its float path bit for bit.
+    in float64, so the cast rounds as that dtype's product does. The
+    branches' words and operands are stacked anew on every call; a binary
+    layer instead keeps one stacked bank and calls conv_binary itself.
     """
     if not spec.is_depthwise:
         raise ValueError("multi conv is defined for depth-wise specs")

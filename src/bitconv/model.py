@@ -12,14 +12,16 @@ straight-through estimator and the magnitudes/thresholds receive the
 gradients of the continuous surrogate. A binary layer runs all its branches
 as one float conv over their stacked channels, through one quantizer path
 whose inputs are live, or replayed from a capture for curvature probes.
-Inference can also run through the bit-packed kernels (forward_packed),
-which matches the float path bit for bit in float32 and float64 nets: accumulation is integer-exact and each
-branch's scaled output is rounded to the net dtype before the branches
-sum. Activations reach the kernels unpacked, as tensor.sign_bits arrays.
-A binary layer packs its sign filters, and the kernels build their filter
-operands from them, once per set of latent weights: the packed form is
-kept with a copy of the weights it came from and rebuilt only when the
-live weights differ from that copy, whatever changed them.
+A packed forward (forward(x, packed=True)) is the same forward with the
+float conv swapped for the bit-packed kernel: conv_binary over the stacked
+sign bits of the input (tensor.sign_bits at each branch's thresholds)
+against the layer's one packed bank of N*C sign filters. Its integer
+counts are exact in the net dtype, so the shared tail (per-branch
+magnitude, then the branch sum) rounds as the float path does, and the
+two match bit for bit in float32 and float64 nets. The bank, with the
+kernel operand it builds on first use, is kept with a copy of the latent
+weights it was packed from and rebuilt only when the live weights differ
+from that copy, whatever changed them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from . import layers as L
 from . import tensor as T
 from .analysis import LayerCost, conv_cost
 from .kernels import (BinaryConvWeights, ConvSpec, branch_sum, conv_binary, conv_float,
-                      conv_float_grad_input, conv_float_grad_weight, conv_multi_dw)
+                      conv_float_grad_input, conv_float_grad_weight)
 from .layers import BlockTopology
 
 STE_CLIP = 1.0
@@ -96,11 +98,10 @@ class FloatConv(Layer):
     def filter_params(self):
         return {"w"}
 
-    def forward(self, x, training=False):
+    def forward(self, x, training=False, packed=False):
+        """The float conv; packed is accepted and ignored (one form only)."""
         self._x = x
         return conv_float(x, self.w, self.spec)
-
-    forward_packed = forward
 
     def backward(self, gy):
         self.gw += conv_float_grad_weight(self._x, gy, self.spec)
@@ -127,6 +128,9 @@ class MultiBinaryConv(Layer):
     masks come from the live values, or in "use" mode from the last
     "capture": each quantizer is then the affine map value + clip_mask *
     (arg - arg_at_capture), the path the straight-through backward follows.
+    With packed=True that conv is conv_binary on the live sign bits and the
+    layer's packed bank; the magnitudes and the branch sum are shared, and
+    there is no backward.
     """
 
     def __init__(self, name: str, spec: ConvSpec, n_branches: int, rng, dtype=np.float32):
@@ -151,7 +155,7 @@ class MultiBinaryConv(Layer):
         self.gw, self.gbeta, self.gthr = (np.zeros_like(a) for a in (self.w, self.beta, self.thr))
         self.init_magnitudes()
         self._cache = None
-        self._packed = None  # (latent weights copied at packing, packed filters)
+        self._packed = None  # (latent weights copied at packing, packed bank of N*C filters)
         # quantization-decision freezing for curvature probes: None (live),
         # "capture" (record decisions this forward), "use" (replay them)
         self.freeze_mode = None
@@ -176,55 +180,43 @@ class MultiBinaryConv(Layer):
         np.abs(d, out=d)
         return d <= STE_CLIP, np.abs(self.w.reshape(self.stacked_spec.weight_shape())) <= STE_CLIP
 
-    def forward(self, x, training=False):
+    def forward(self, x, training=False, packed=False):
         w = self.w.reshape(self.stacked_spec.weight_shape())  # (N*O, C/groups, kh, kw)
-        if self.freeze_mode == "use":  # value + clip_mask * (arg - arg_at_capture)
-            if self._frozen is None:
-                raise RuntimeError("no captured quantization decisions to replay")
-            fz = self._frozen
-            a = (x - fz["x0"])[:, None] * fz["mask_x"]
-            a += fz["a"]
-            ws = (w - fz["w0"]) * fz["mask_w"]
-            ws += fz["ws"]
-        else:
-            a = (x[:, None] >= self.thr[None, :, :, None, None]).astype(x.dtype) * 2 - 1
-            ws = (w >= 0).astype(w.dtype) * 2 - 1 if self.weights_binary else w
-        if self.freeze_mode == "capture":
+        if packed:  # the float conv below, with the bit-packed kernel swapped in
             if not self.weights_binary:
-                raise RuntimeError("quantization freezing requires binarized weights")
-            mask_x, mask_w = self._clip_masks(x)
-            self._frozen = {"x0": x.copy(), "a": a, "ws": ws, "w0": w.copy(), "mask_x": mask_x, "mask_w": mask_w}
-        a = a.reshape(x.shape[0], -1, *x.shape[2:])  # (batch, N*C, H, W)
-        z = conv_float(a, ws, self.stacked_spec)
+                raise RuntimeError("packed forward requires binarized weights")
+            if self._packed is None or not np.array_equal(self._packed[0], self.w):
+                self._packed = (self.w.copy(), BinaryConvWeights(T.pack(w, 0.0)))
+            z = conv_binary(T.sign_bits(x, self.thr), self._packed[1], self.stacked_spec)
+            z = z.astype(np.result_type(x, w), copy=False)
+        else:
+            if self.freeze_mode == "use":  # value + clip_mask * (arg - arg_at_capture)
+                if self._frozen is None:
+                    raise RuntimeError("no captured quantization decisions to replay")
+                fz = self._frozen
+                a = (x - fz["x0"])[:, None] * fz["mask_x"]
+                a += fz["a"]
+                ws = (w - fz["w0"]) * fz["mask_w"]
+                ws += fz["ws"]
+            else:
+                a = (x[:, None] >= self.thr[None, :, :, None, None]).astype(x.dtype) * 2 - 1
+                ws = (w >= 0).astype(w.dtype) * 2 - 1 if self.weights_binary else w
+            if self.freeze_mode == "capture":
+                if not self.weights_binary:
+                    raise RuntimeError("quantization freezing requires binarized weights")
+                mask_x, mask_w = self._clip_masks(x)
+                self._frozen = {"x0": x.copy(), "a": a, "ws": ws, "w0": w.copy(), "mask_x": mask_x, "mask_w": mask_w}
+            a = a.reshape(x.shape[0], -1, *x.shape[2:])  # (batch, N*C, H, W)
+            z = conv_float(a, ws, self.stacked_spec)
         z = z.reshape(x.shape[0], self.n, -1, *z.shape[2:])  # (batch, N, O, Ho, Wo)
-        self._cache = (x, a, ws, z)
-        return branch_sum(z * self.beta[None, :, :, None, None] if self.weights_binary else z)
-
-    def forward_packed(self, x):
-        """Inference through the bit-packed kernels (weights_binary only)."""
-        if not self.weights_binary:
-            raise RuntimeError("packed forward requires binarized weights")
-        packed = self._packed_filters()
-        if self.spec.is_depthwise:
-            branches = [(packed[i], self.thr[i], self.beta[i]) for i in range(self.n)]
-            return conv_multi_dw(x, branches, self.spec)
-        y = conv_binary(T.sign_bits(x, self.thr[0]), packed[0].with_magnitude(self.beta[0]), self.spec)
-        return y.astype(np.result_type(x, self.beta[0]), copy=False)
-
-    def _packed_filters(self) -> list[BinaryConvWeights]:
-        """Packed sign filters of every branch, repacked only when the weights changed.
-
-        The kept filters (each a BinaryConvWeights, which also keeps its
-        kernel operand) are compared by value with a copy of the weights
-        they were packed from, so an optimizer step, the post_step branch
-        permutation, set_flat_params, load_state and a direct write all
-        show. Thresholds and magnitudes are not kept: callers read them live.
-        """
-        if self._packed is None or not np.array_equal(self._packed[0], self.w):
-            self._packed = (self.w.copy(), [BinaryConvWeights(T.pack(w, 0.0)) for w in self.w])
-        return self._packed[1]
+        self._cache = None if packed else (x, a, ws, z)  # a packed forward has no backward
+        if self.weights_binary:  # the kernel's output is fresh, so it is scaled in place
+            z = np.multiply(z, self.beta[None, :, :, None, None], out=z if packed else None)
+        return branch_sum(z)
 
     def backward(self, gy):
+        if self._cache is None:
+            raise RuntimeError("backward needs a float (non-packed) forward first")
         x, a, ws, z = self._cache
         fz = self._frozen if self.freeze_mode == "use" else None
         mask_x, mask_w = self._clip_masks(x) if fz is None else (fz["mask_x"], fz["mask_w"])
@@ -393,7 +385,7 @@ class Block:
         return r, pooled, broadcast
 
     def forward(self, x, training=False, packed=False):
-        z = self.conv.forward_packed(x) if packed else self.conv.forward(x, training)
+        z = self.conv.forward(x, training, packed)
         # a narrowing layer has no residual path (channel reduction skips
         # are out of scope), regardless of the configured topology
         no_skip = (self.topology is BlockTopology.NO_RESIDUAL

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (BinaryConvWeights, ConvSpec, conv_binary, conv_dual_dw,
-                      conv_float, conv_multi_dw)
-from .quantize import DualQuantParams
+from .kernels import BinaryConvWeights, ConvSpec, conv_binary, conv_float, conv_multi_dw
 from .tensor import pack, unpack
 
 VARIANTS = ("binary_regular", "binary_dw", "dual_dw", "multi_dw")
@@ -81,19 +79,8 @@ def run_case(variant: str, rng, corrupt_pad: bool = False) -> CaseResult:
         ok = np.array_equal(got, want)
         return CaseResult(variant, x.shape, spec, 1, ok, "" if ok else "mismatch vs oracle")
 
-    if variant == "dual_dw":
-        a1 = rng.uniform(-0.5, 0.0, c)
-        a2 = a1 + rng.uniform(0.0, 0.5, c)
-        q = DualQuantParams(a1, a2, rng.random(c) + 0.1, rng.random(c) + 0.1)
-        w1 = BinaryConvWeights(pack(rng.standard_normal(spec.weight_shape()), 0.0), q.beta1)
-        w2 = BinaryConvWeights(pack(rng.standard_normal(spec.weight_shape()), 0.0), q.beta2)
-        got = conv_dual_dw(x, w1, w2, q, spec)
-        want = _oracle_binary(pack(x, q.alpha1), w1, spec) + _oracle_binary(pack(x, q.alpha2), w2, spec)
-        ok = np.array_equal(got, want)
-        return CaseResult(variant, x.shape, spec, 2, ok, "" if ok else "mismatch vs oracle")
-
-    if variant == "multi_dw":
-        n_branches = int(rng.integers(1, 5))
+    if variant in ("dual_dw", "multi_dw"):
+        n_branches = 2 if variant == "dual_dw" else int(rng.integers(1, 5))
         branches = []
         for _ in range(n_branches):
             thr = rng.uniform(-0.5, 0.5, c)
@@ -103,7 +90,7 @@ def run_case(variant: str, rng, corrupt_pad: bool = False) -> CaseResult:
         got = conv_multi_dw(x, branches, spec)
         want = None
         for bw, thr, beta in branches:
-            y = _oracle_binary(pack(x, thr), BinaryConvWeights(bw.packed, beta), spec)
+            y = _oracle_binary(pack(x, thr), bw, spec)
             want = y if want is None else want + y
         ok = np.array_equal(got, want)
         return CaseResult(variant, x.shape, spec, n_branches, ok, "" if ok else "mismatch vs oracle")

@@ -282,7 +282,7 @@ class TestKernelOperand:
 
     def test_rewrapped_branch_matches_fresh(self):
         # conv_multi_dw reads each branch's operand under the branch's own
-        # magnitude; neither it nor a re-wrap changes the bank's magnitude
+        # magnitude and leaves the bank's magnitude unchanged
         rng = np.random.default_rng(14)
         c = 5
         spec = K.ConvSpec(c, c, (3, 3), padding=1, groups=c)
@@ -295,8 +295,6 @@ class TestKernelOperand:
             want = K.conv_binary(T.pack(x, thr), K.binarize_weights(w, beta), spec)
             assert np.array_equal(got, want)
         assert np.array_equal(bw.magnitude, np.ones(c))
-        rewrapped = bw.with_magnitude(beta)
-        assert np.array_equal(K.conv_binary(T.pack(x, thr), rewrapped, spec), want)
 
 
 class TestBitArrayEntry:
@@ -356,7 +354,7 @@ class TestBitArrayEntry:
             beta = rng.random(c).astype(dtype)
             bw = K.binarize_weights(rng.standard_normal(spec.weight_shape()))
             branches.append((bw, thr, beta))
-            y = K.conv_binary(T.pack(x, thr), bw.with_magnitude(beta), spec).astype(dtype)
+            y = K.conv_binary(T.pack(x, thr), K.BinaryConvWeights(bw.packed, beta), spec).astype(dtype)
             want = y if want is None else want + y
         got = K.conv_multi_dw(x, branches, spec)
         assert got.dtype == dtype
@@ -406,7 +404,7 @@ class TestDualAndMulti:
         q = DualQuantParams(np.full(c, -0.2), np.full(c, 0.2), rng.random(c), np.zeros(c))
         w1 = K.binarize_weights(rng.standard_normal(spec.weight_shape()), q.beta1)
         w2 = K.binarize_weights(rng.standard_normal(spec.weight_shape()), np.zeros(c))
-        got = K.conv_dual_dw(x, w1, w2, q, spec)
+        got = K.conv_multi_dw(x, [(w1, q.alpha1, q.beta1), (w2, q.alpha2, q.beta2)], spec)
         want = K.conv_binary(T.pack(x, q.alpha1), w1, spec)
         assert np.array_equal(got, want)
 
@@ -423,7 +421,7 @@ class TestDualAndMulti:
         w_plus = np.ones(spec.weight_shape())
         w1 = K.binarize_weights(w_plus, q.beta1)
         w2 = K.binarize_weights(w_plus, q.beta2)
-        got = K.conv_dual_dw(x, w1, w2, q, spec)
+        got = K.conv_multi_dw(x, [(w1, a1, q.beta1), (w2, a2, q.beta2)], spec)
         assert np.array_equal(got, ternarize(x, q))
 
     def test_dual_matches_two_branch_oracle(self):
@@ -436,7 +434,7 @@ class TestDualAndMulti:
         q = DualQuantParams(a1, a2, rng.random(c), rng.random(c))
         w1 = K.binarize_weights(rng.standard_normal(spec.weight_shape()), q.beta1)
         w2 = K.binarize_weights(rng.standard_normal(spec.weight_shape()), q.beta2)
-        got = K.conv_dual_dw(x, w1, w2, q, spec)
+        got = K.conv_multi_dw(x, [(w1, a1, q.beta1), (w2, a2, q.beta2)], spec)
         b1 = K.conv_float(T.unpack(T.pack(x, a1)), T.unpack(w1.packed), spec) * q.beta1.reshape(1, -1, 1, 1)
         b2 = K.conv_float(T.unpack(T.pack(x, a2)), T.unpack(w2.packed), spec) * q.beta2.reshape(1, -1, 1, 1)
         assert np.array_equal(got, b1 + b2)
@@ -452,20 +450,6 @@ class TestDualAndMulti:
         got = K.conv_multi_dw(x, [(bw, thr, beta)], spec)
         want = K.conv_binary(T.pack(x, thr), bw, spec)
         assert np.array_equal(got, want)
-
-    def test_multi_n2_equals_dual(self):
-        rng = np.random.default_rng(9)
-        c = 5
-        spec = K.ConvSpec(c, c, (3, 3), padding=1, groups=c)
-        x = rng.standard_normal((2, c, 7, 7))
-        a1 = rng.uniform(-0.4, 0.0, c)
-        a2 = a1 + rng.uniform(0, 0.6, c)
-        q = DualQuantParams(a1, a2, rng.random(c), rng.random(c))
-        w1 = K.binarize_weights(rng.standard_normal(spec.weight_shape()), q.beta1)
-        w2 = K.binarize_weights(rng.standard_normal(spec.weight_shape()), q.beta2)
-        dual = K.conv_dual_dw(x, w1, w2, q, spec)
-        multi = K.conv_multi_dw(x, [(w1, a1, q.beta1), (w2, a2, q.beta2)], spec)
-        assert np.array_equal(dual, multi)
 
     def test_multi_n4_matches_four_branch_oracle(self):
         rng = np.random.default_rng(10)
@@ -489,10 +473,9 @@ class TestDualAndMulti:
 
     def test_non_depthwise_rejected(self):
         spec = K.ConvSpec(2, 4, (3, 3))
-        q = DualQuantParams([0.0, 0.0], [0.1, 0.1], [1, 1], [1, 1])
         w = K.binarize_weights(np.ones(spec.weight_shape()), np.ones(4))
         with pytest.raises(ValueError):
-            K.conv_dual_dw(np.ones((1, 2, 5, 5)), w, w, q, spec)
+            K.conv_multi_dw(np.ones((1, 2, 5, 5)), [(w, 0.0, 1.0), (w, 0.1, 1.0)], spec)
 
 
 class TestStructuralProperties:

@@ -87,6 +87,16 @@ class TestBuild:
                 assert packed.dtype == dtype
                 assert np.array_equal(packed, net.forward(x)), (variant, topology)
 
+    def test_backward_after_packed_forward_raises(self):
+        # a packed forward leaves no cache, so backward cannot differentiate
+        # an earlier training forward that did not produce the output
+        net = M.build(small_config(), seed=0, dtype=np.float64)
+        x = np.random.default_rng(0).standard_normal((2, 1, 8, 8))
+        logits = net.forward(x, training=True)
+        net.forward(x, packed=True)
+        with pytest.raises(RuntimeError, match="backward"):
+            net.backward(np.ones_like(logits))
+
     def test_packed_forward_rejects_non_finite_input(self):
         net = M.build(small_config(), seed=0, dtype=np.float64)
         x = np.zeros((1, 1, 8, 8))
@@ -294,9 +304,10 @@ class TestPackedFilterReuse:
         first = len(seen)
         seen.clear()
         net.forward(x, packed=True)
-        weights = [w for layer in binary_layers(net) for w in layer.w]
-        assert not any(np.shares_memory(t, w) for t in seen for w in weights)
-        assert len(seen) == first - len(weights)
+        layers = binary_layers(net)
+        assert not any(np.shares_memory(t, layer.w) for t in seen for layer in layers)
+        # the first forward packed one bank per binary layer, all its branches stacked
+        assert len(seen) == first - len(layers)
 
 
     def test_second_forward_packs_and_unpacks_nothing(self, monkeypatch):
