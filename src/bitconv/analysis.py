@@ -306,6 +306,8 @@ def hessian_topk_operator(hvp, dim: int, k: int, seed: int = 0, max_iter: int = 
     """
     if k < 1 or k > 10:
         raise ValueError("k must be in [1, 10]")
+    if k > dim:
+        raise ValueError(f"k={k} exceeds the operator dimension {dim}")
     rng = np.random.default_rng(seed)
     calls = 0
 
@@ -348,14 +350,14 @@ def hessian_topk_operator(hvp, dim: int, k: int, seed: int = 0, max_iter: int = 
     return found
 
 
-def network_hvp(network, batch, h: float = 1e-5, training: bool = False):
+def network_hvp(network, batch):
     """Hessian-vector product operator for a network's loss.
 
     Central differences of the gradient along v: (g(t+hv) - g(t-hv)) / 2h,
-    evaluated on a fixed batch so the operator is deterministic. By
-    default the loss is probed with the stored normalization statistics
-    (training=True switches to batch statistics, whose per-batch
-    renormalization hides curvature along the rescaling directions).
+    with h = 1e-5 relative to the parameter scale, evaluated on a fixed
+    batch so the operator is deterministic. The loss
+    is probed with the stored normalization statistics (batch statistics
+    would renormalize away the curvature along the rescaling directions).
     Callers probing quantized networks should freeze the quantization
     decisions first (see hessian_topk); the differentiable surrogate path
     is smooth only with the sign patterns and clip masks pinned.
@@ -369,12 +371,12 @@ def network_hvp(network, batch, h: float = 1e-5, training: bool = False):
         vn = float(np.linalg.norm(v))
         if vn == 0:
             return np.zeros_like(v)
-        step = h * scale / vn
+        step = 1e-5 * scale / vn
         try:
             network.set_flat_params(theta0 + step * v)
-            gp = batch_gradient(network, batch, training=training)
+            gp = batch_gradient(network, batch)
             network.set_flat_params(theta0 - step * v)
-            gm = batch_gradient(network, batch, training=training)
+            gm = batch_gradient(network, batch)
         finally:
             network.set_flat_params(theta0)
         return (gp - gm) / (2 * step)
@@ -383,12 +385,12 @@ def network_hvp(network, batch, h: float = 1e-5, training: bool = False):
 
 
 def hessian_topk(network, batch, k: int, seed: int = 0, max_iter: int = 200,
-                 rtol: float = 1e-4, training: bool = False) -> list[EigenEstimate]:
+                 rtol: float = 1e-4) -> list[EigenEstimate]:
     """Top-k eigenvalues of the training-loss Hessian of a built network.
 
     The loss is evaluated with the stored normalization statistics (the
-    adapted training state; batch-statistics mode is available but its
-    per-batch renormalization hides curvature along rescaling directions).
+    adapted training state; batch statistics would renormalize away the
+    curvature along rescaling directions).
     The quantization decisions (activation/weight sign patterns and STE
     clip masks) are captured at the current parameters and replayed while
     probing, so the differentiated path is the smooth surrogate the
@@ -402,9 +404,9 @@ def hessian_topk(network, batch, k: int, seed: int = 0, max_iter: int = 200,
     try:
         network.set_bn_stat_updates(False)
         network.set_quant_mode("capture")
-        batch_gradient(network, batch, training=training)  # record decisions here
+        batch_gradient(network, batch)  # record decisions here
         network.set_quant_mode("use")
-        hvp, dim = network_hvp(network, batch, training=training)
+        hvp, dim = network_hvp(network, batch)
         return hessian_topk_operator(hvp, dim, k, seed=seed, max_iter=max_iter, rtol=rtol)
     finally:
         network.set_quant_mode(None)
@@ -431,8 +433,8 @@ def _filter_normalized_direction(network, rng) -> np.ndarray:
     quantizer, and activation parameters stay fixed.
     """
     parts = []
-    for name, arr in network.named_params():
-        if network.is_filter_param(name):
+    for _, arr, _, is_filter in network.parameters():
+        if is_filter:
             d = rng.standard_normal(arr.shape)
             flat_d = d.reshape(arr.shape[0], -1)
             flat_w = arr.reshape(arr.shape[0], -1)

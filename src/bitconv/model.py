@@ -55,15 +55,10 @@ class Layer:
     keeps the input's spatial size. Subclasses override what they have."""
 
     def params(self):
-        return {}
-
-    def grads(self):
-        return {}
-
-    def filter_params(self):
-        """Names of the filter weights: the ones weight decay and the
+        """One (name, value, grad, is_filter) record per trainable tensor;
+        is_filter marks the filter weights, the ones weight decay and the
         landscape directions act on."""
-        return set()
+        return []
 
     def buffers(self):
         return {}
@@ -90,13 +85,7 @@ class FloatConv(Layer):
         self._x = None
 
     def params(self):
-        return {"w": self.w}
-
-    def grads(self):
-        return {"w": self.gw}
-
-    def filter_params(self):
-        return {"w"}
+        return [("w", self.w, self.gw, True)]
 
     def forward(self, x, training=False, packed=False):
         """The float conv; packed is accepted and ignored (one form only)."""
@@ -166,13 +155,8 @@ class MultiBinaryConv(Layer):
         self.beta[...] = np.abs(self.w).mean(axis=(2, 3, 4)) / self.n
 
     def params(self):
-        return {f"{k}{i}": getattr(self, k)[i] for i in range(self.n) for k in ("w", "beta", "thr")}
-
-    def grads(self):
-        return {f"{k}{i}": getattr(self, "g" + k)[i] for i in range(self.n) for k in ("w", "beta", "thr")}
-
-    def filter_params(self):
-        return {f"w{i}" for i in range(self.n)}
+        return [(f"{k}{i}", getattr(self, k)[i], getattr(self, "g" + k)[i], k == "w")
+                for i in range(self.n) for k in ("w", "beta", "thr")]
 
     def _clip_masks(self, x):
         """Clip masks |arg| <= STE_CLIP of the live input per branch and of the weights."""
@@ -273,10 +257,7 @@ class BatchNorm(Layer):
         self._training = False
 
     def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def grads(self):
-        return {"gamma": self.ggamma, "beta": self.gbeta}
+        return [("gamma", self.gamma, self.ggamma, False), ("beta", self.beta, self.gbeta, False)]
 
     def buffers(self):
         return {"mu": self.mu, "var": self.var}
@@ -333,10 +314,8 @@ class ShiftedPReLU(Layer):
         self._cache = None
 
     def params(self):
-        return {"shift_in": self.shift_in, "slope": self.slope, "shift_out": self.shift_out}
-
-    def grads(self):
-        return {"shift_in": self.gshift_in, "slope": self.gslope, "shift_out": self.gshift_out}
+        return [(k, getattr(self, k), getattr(self, "g" + k), False)
+                for k in ("shift_in", "slope", "shift_out")]
 
     def forward(self, x, training=False):
         z = x - self.shift_in.reshape(1, -1, 1, 1)
@@ -457,13 +436,7 @@ class Dense(Layer):
         self._x = None
 
     def params(self):
-        return {"w": self.w, "b": self.b}
-
-    def grads(self):
-        return {"w": self.gw, "b": self.gb}
-
-    def filter_params(self):
-        return {"w"}
+        return [("w", self.w, self.gw, True), ("b", self.b, self.gb, False)]
 
     def forward(self, x, training=False):
         self._x = x
@@ -573,27 +546,22 @@ class Network:
             else:
                 yield item.name, item
 
-    def named_params(self):
+    def parameters(self):
+        """(layer path/name, value, grad, is_filter) per trainable tensor, in a fixed order."""
         for prefix, layer in self._walk():
-            for pname, arr in layer.params().items():
-                yield f"{prefix}/{pname}", arr
+            for name, value, grad, is_filter in layer.params():
+                yield f"{prefix}/{name}", value, grad, is_filter
+
+    def named_params(self):
+        return ((name, value) for name, value, _, _ in self.parameters())
 
     def named_grads(self):
-        for prefix, layer in self._walk():
-            for pname, arr in layer.grads().items():
-                yield f"{prefix}/{pname}", arr
+        return ((name, grad) for name, _, grad, _ in self.parameters())
 
     def named_buffers(self):
         for prefix, layer in self._walk():
             for bname, arr in layer.buffers().items():
                 yield f"{prefix}/{bname}", arr
-
-    def is_filter_param(self, name: str) -> bool:
-        prefix, pname = name.rsplit("/", 1)
-        for p, layer in self._walk():
-            if p == prefix:
-                return pname in layer.filter_params()
-        return False
 
     def zero_grads(self):
         for _, g in self.named_grads():

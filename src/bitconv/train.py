@@ -46,7 +46,6 @@ class TrainConfig:
     seed: int = 0
     step: str = "one-step"           # "one-step" | "two-step"
     step_split: float = 0.5          # fraction of epochs in step one
-    alpha_guard: float = 1e6
 
     def __post_init__(self):
         if self.lr < 0:
@@ -149,32 +148,28 @@ def batch_loss(network: Network, batch) -> float:
     return loss
 
 
-def batch_gradient(network: Network, batch, training: bool = False) -> np.ndarray:
-    """Flat loss gradient on a fixed batch (used for HVPs).
-
-    training=True normalizes with batch statistics, the loss the optimizer
-    actually descends; running-stat updates are the caller's concern.
-    """
+def batch_gradient(network: Network, batch) -> np.ndarray:
+    """Flat eval-mode loss gradient on a fixed batch (used for HVPs)."""
     x, y = batch
     network.zero_grads()
-    logits = network.forward(x, training=training)
+    logits = network.forward(x, training=False)
     _, dlogits, _ = softmax_cross_entropy(logits, y)
     network.backward(dlogits.astype(network.dtype))
     return network.get_flat_grads()
 
 
 def backward(network: Network, batch):
-    """Training-mode forward+backward; returns (loss, acc, named gradients).
+    """Training-mode forward+backward; returns (loss, acc).
 
-    Gradients cover every trainable parameter, including the quantizer
-    thresholds and magnitudes.
+    The gradients land in the grad of every parameter record, including
+    the quantizer thresholds and magnitudes.
     """
     x, y = batch
     network.zero_grads()
     logits = network.forward(x, training=True)
     loss, dlogits, acc = softmax_cross_entropy(logits, y)
     network.backward(dlogits.astype(network.dtype))
-    return loss, acc, dict(network.named_grads())
+    return loss, acc
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +184,8 @@ class SGD:
         self.momentum = momentum
         self.v = {}
 
-    def step(self, named, lr, weight_decay=0.0):
-        for name, param, grad, decay in named:
+    def step(self, records, lr, weight_decay=0.0):
+        for name, param, grad, decay in records:
             g = grad.astype(np.float64)
             if decay and weight_decay:
                 g = g + weight_decay * param
@@ -211,11 +206,11 @@ class Adam:
         self.m, self.v = {}, {}
         self.t = 0
 
-    def step(self, named, lr, weight_decay=0.0):
+    def step(self, records, lr, weight_decay=0.0):
         self.t += 1
         c1 = 1 - self.beta1**self.t
         c2 = 1 - self.beta2**self.t
-        for name, param, grad, decay in named:
+        for name, param, grad, decay in records:
             g = grad.astype(np.float64)
             if decay and weight_decay:
                 g = g + weight_decay * param
@@ -290,7 +285,6 @@ def train(network: Network, data, cfg: TrainConfig, epoch_hook=None) -> TrainRep
     rng = np.random.default_rng(cfg.seed)
     opt = make_optimizer(cfg)
     report = TrainReport()
-    decay_flags = {name: network.is_filter_param(name) for name, _ in network.named_params()}
 
     if cfg.step == "two-step":
         step1_epochs = min(cfg.epochs - 1, max(1, round(cfg.epochs * cfg.step_split)))
@@ -311,14 +305,10 @@ def train(network: Network, data, cfg: TrainConfig, epoch_hook=None) -> TrainRep
             for start in range(0, len(order), cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 batch = (train_ds.x[idx], train_ds.y[idx])
-                loss, _, _ = backward(network, batch)
+                loss, _ = backward(network, batch)
                 if not np.isfinite(loss):
                     _diagnose_divergence(network, epoch)
-                named = [
-                    (name, param, grad, decay_flags[name])
-                    for (name, param), (_, grad) in zip(network.named_params(), network.named_grads())
-                ]
-                opt.step(named, lr, weight_decay)
+                opt.step(network.parameters(), lr, weight_decay)
                 network.post_step()
 
         for split, ds in (("train", train_ds), ("val", val_ds)):

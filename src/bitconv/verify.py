@@ -52,13 +52,24 @@ def _oracle_binary(xb, weights: BinaryConvWeights, spec: ConvSpec):
     return acc * weights.magnitude[None, :, None, None].astype(acc.dtype)
 
 
-def _corrupt_pads(bt, rng):
+def _corrupt_pads(bt):
     if bt.pad_bits == 0:
         return False
     word = bt.words[..., -1]
     high = np.uint64((1 << 63))
     bt.words[..., -1] = word | high  # the last bit of a padded row is always pad
     return True
+
+
+def _pad_fault(packed, variant, shape, spec, n_branches):
+    """Corrupt the pads of every packed operand. Returns the case's result if
+    it ends here (no pad bits, or the pad invariant caught the corruption),
+    else None: the kernel must then be pad-independent."""
+    if not any([_corrupt_pads(bt) for bt in packed]):
+        return CaseResult(variant, shape, spec, n_branches, True, "no pad bits to corrupt")
+    if not all(bt.pads_are_zero() for bt in packed):
+        return CaseResult(variant, shape, spec, n_branches, False, "pad invariant violated")
+    return None
 
 
 def run_case(variant: str, rng, corrupt_pad: bool = False) -> CaseResult:
@@ -70,10 +81,8 @@ def run_case(variant: str, rng, corrupt_pad: bool = False) -> CaseResult:
         weights = BinaryConvWeights(pack(rng.standard_normal(spec.weight_shape()), 0.0),
                                     rng.random(spec.out_channels) + 0.1)
         xb = pack(x, 0.0)
-        if corrupt_pad and not (_corrupt_pads(xb, rng) | _corrupt_pads(weights.packed, rng)):
-            return CaseResult(variant, x.shape, spec, 1, True, "no pad bits to corrupt")
-        if corrupt_pad and not (xb.pads_are_zero() and weights.packed.pads_are_zero()):
-            return CaseResult(variant, x.shape, spec, 1, False, "pad invariant violated")
+        if corrupt_pad and (fault := _pad_fault([xb, weights.packed], variant, x.shape, spec, 1)):
+            return fault
         got = conv_binary(xb, weights, spec)
         want = _oracle_binary(xb, weights, spec)
         ok = np.array_equal(got, want)
@@ -87,6 +96,9 @@ def run_case(variant: str, rng, corrupt_pad: bool = False) -> CaseResult:
             beta = rng.random(c) + 0.1
             bw = BinaryConvWeights(pack(rng.standard_normal(spec.weight_shape()), 0.0), beta)
             branches.append((bw, thr, beta))
+        packed = [bw.packed for bw, _, _ in branches]
+        if corrupt_pad and (fault := _pad_fault(packed, variant, x.shape, spec, n_branches)):
+            return fault
         got = conv_multi_dw(x, branches, spec)
         want = None
         for bw, thr, beta in branches:

@@ -184,6 +184,8 @@ class TestHessianTopK:
     def test_k_bounds(self):
         with pytest.raises(ValueError):
             A.hessian_topk_operator(lambda v: v, 5, 11)
+        with pytest.raises(ValueError):  # more eigenpairs than the operator has
+            A.hessian_topk_operator(lambda v: np.array([3.0, 2.0, 1.0]) * v, 3, 5)
 
     @pytest.mark.parametrize("k,shift", [(1, "auto"), (3, "auto"), (2, 12.0)])
     def test_reports_hvps_used(self, k, shift):
@@ -237,9 +239,9 @@ class TestLandscape:
         rng = np.random.default_rng(4)
         d = A._filter_normalized_direction(net, rng)
         pos = 0
-        for name, arr in net.named_params():
+        for _, arr, _, is_filter in net.parameters():
             seg = d[pos : pos + arr.size]
-            if net.is_filter_param(name):
+            if is_filter:
                 # per-filter norms match the weights' norms
                 dseg = seg.reshape(arr.shape)
                 for o in range(arr.shape[0]):

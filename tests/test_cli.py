@@ -89,6 +89,10 @@ class TestHessianCmd:
         assert len(rows) == 2
         assert float(rows[0]["eigenvalue"]) >= float(rows[1]["eigenvalue"])
 
+    def test_k_above_dim_exits_2(self, tmp_path):
+        assert run(["--out", tmp_path, "hessian", "--mode", "probe", "--dim", "3",
+                    "--k", "5"]) == 2
+
 
 class TestLandscapeCmd:
     def test_line_mode_csv(self, tmp_path):

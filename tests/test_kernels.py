@@ -6,7 +6,7 @@ import pytest
 from bitconv import kernels as K
 from bitconv import tensor as T
 from bitconv.quantize import DualQuantParams, ternarize
-from bitconv.verify import run_suite
+from bitconv.verify import VARIANTS, run_suite
 
 
 def conv_nested_loops(x, w, spec):
@@ -515,3 +515,8 @@ class TestStructuralProperties:
     def test_verify_suite_small(self):
         results = run_suite(cases_per_variant=25, seed=123)
         assert all(r.ok for r in results)
+
+    def test_verify_suite_corrupt_pad_fails_every_variant(self):
+        results = run_suite(cases_per_variant=25, seed=123, corrupt_pad=True)
+        failed = {r.variant for r in results if not r.ok}
+        assert failed == set(VARIANTS)

@@ -11,7 +11,8 @@ from bitconv.quantize import ste_grad_sign
 from bitconv.analysis import count_ops
 from bitconv.kernels import ConvSpec
 from bitconv.layers import BlockTopology
-from bitconv.train import TrainConfig, ablation_config, batch_gradient, gen_synthetic, train
+from bitconv.train import (ABLATION_NAMES, SGD, TrainConfig, ablation_config, batch_gradient,
+                           gen_synthetic, train)
 
 
 def small_config(**kw):
@@ -325,6 +326,49 @@ class TestPackedFilterReuse:
         calls.clear()
         net.forward(x, packed=True)
         assert calls == []
+
+
+RECORD_CONFIGS = ([ablation_config(name) for name in ABLATION_NAMES]
+                  + [small_config(variant=v, n_convs=n) for v in ("A", "B") for n in (1, 2, 3, 4)])
+
+
+def conv_and_head_weights(net):
+    """The filter weights, read off the layers: each conv's (per-branch) and the head's."""
+    out = []
+    for item in net.items:
+        if isinstance(item, M.Block):
+            out += list(item.conv.w) if isinstance(item.conv, M.MultiBinaryConv) else [item.conv.w]
+        elif isinstance(item, M.Dense):
+            out.append(item.w)
+    return out
+
+
+class TestParameterRecords:
+    @pytest.mark.parametrize("config", RECORD_CONFIGS)
+    def test_filter_flags_mark_exactly_the_conv_and_head_weights(self, config):
+        net = M.build(config, seed=0)
+        flagged = [value for _, value, _, is_filter in net.parameters() if is_filter]
+        want = conv_and_head_weights(net)
+        assert len(flagged) == len(want)
+        assert all(a.shape == b.shape and np.shares_memory(a, b) for a, b in zip(flagged, want))
+
+    @pytest.mark.parametrize("config", RECORD_CONFIGS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_each_grad_matches_its_value(self, config, dtype):
+        records = list(M.build(config, seed=0, dtype=dtype).parameters())
+        assert len({name for name, _, _, _ in records}) == len(records)
+        for name, value, grad, _ in records:
+            assert grad.shape == value.shape and grad.dtype == value.dtype == dtype, name
+            assert not np.shares_memory(grad, value), name
+
+    @pytest.mark.parametrize("config", RECORD_CONFIGS)
+    def test_decay_step_moves_only_filter_weights(self, config):
+        net = M.build(config, seed=0, dtype=np.float64)
+        net.zero_grads()
+        before = [value.copy() for _, value, _, _ in net.parameters()]
+        SGD().step(net.parameters(), lr=0.1, weight_decay=0.5)
+        for (name, value, _, is_filter), old in zip(net.parameters(), before):
+            assert np.array_equal(value, old) != is_filter, name
 
 
 class TestBranchResort:
