@@ -49,9 +49,6 @@ class LayerCost:
 class CostReport:
     layers: list[LayerCost] = field(default_factory=list)
 
-    def add(self, name: str, kind: str, macs: int, binary: bool) -> None:
-        self.layers.append(LayerCost.of(name, kind, macs, binary))
-
     @property
     def bops(self) -> int:
         return sum(l.bops for l in self.layers)
@@ -85,22 +82,13 @@ def conv_cost(spec: ConvSpec, in_hw: tuple[int, int], binary: bool,
     return LayerCost.of(name, kind, spec.macs(*in_hw) * branches, binary)
 
 
-def count_ops(target, input_shape=None) -> CostReport:
-    """Cost report for a ConvSpec (+ input resolution) or a built network.
+def count_ops(network) -> CostReport:
+    """Cost report of a built network at its configured input shape.
 
     Only multiply-accumulate work of conv/linear layers is counted, the
     same convention the reference operation-count table uses.
     """
-    report = CostReport()
-    if isinstance(target, ConvSpec):
-        if input_shape is None:
-            raise ValueError("input_shape required for a ConvSpec")
-        report.layers.append(conv_cost(target, input_shape, binary=False))
-        return report
-    # duck-typed network: exposes layer_costs(input_shape)
-    costs = target.layer_costs(input_shape)
-    report.layers.extend(costs)
-    return report
+    return CostReport(network.layer_costs())
 
 
 _TABLE1_GEOMETRY = dict(hw=(56, 56), channels=128)
@@ -293,16 +281,16 @@ def _dominant_magnitude(hvp, dim: int, rng, iters: int = 30) -> float:
 
 
 def hessian_topk_operator(hvp, dim: int, k: int, seed: int = 0, max_iter: int = 1000,
-                          rtol: float = 1e-5, shift: float | str = "auto") -> list[EigenEstimate]:
+                          rtol: float = 1e-5) -> list[EigenEstimate]:
     """Top-k (most positive) eigenpairs of a symmetric operator.
 
     Runs deflated power iteration on the shifted operator H + sigma*I so
     the dominant eigenvalue of the iteration is the algebraically largest
     of H even when negative curvature dominates in magnitude; sigma is
-    estimated from a short unshifted run when shift="auto". Stops on the
-    eigenpair residual ||Hv - lam*v|| (which bounds the eigenvalue error
-    for symmetric H); non-convergence is flagged on the estimate, never
-    raised. Every estimate reports the operator applications the solve made.
+    1.1 times the spectral radius estimated by a short unshifted run.
+    Stops on the eigenpair residual ||Hv - lam*v|| (which bounds the
+    eigenvalue error for symmetric H); non-convergence is flagged on the
+    estimate, never raised. Every estimate reports the operator applications the solve made.
     """
     if k < 1 or k > 10:
         raise ValueError("k must be in [1, 10]")
@@ -316,10 +304,7 @@ def hessian_topk_operator(hvp, dim: int, k: int, seed: int = 0, max_iter: int = 
         calls += 1
         return hvp(v)
 
-    if shift == "auto":
-        sigma = 1.1 * _dominant_magnitude(counted, dim, rng, iters=min(30, max_iter))
-    else:
-        sigma = float(shift)
+    sigma = 1.1 * _dominant_magnitude(counted, dim, rng, iters=min(30, max_iter))
     found: list[EigenEstimate] = []
 
     def deflate(v):
@@ -384,8 +369,7 @@ def network_hvp(network, batch):
     return hvp, theta0.size
 
 
-def hessian_topk(network, batch, k: int, seed: int = 0, max_iter: int = 200,
-                 rtol: float = 1e-4) -> list[EigenEstimate]:
+def hessian_topk(network, batch, k: int, seed: int = 0, max_iter: int = 200) -> list[EigenEstimate]:
     """Top-k eigenvalues of the training-loss Hessian of a built network.
 
     The loss is evaluated with the stored normalization statistics (the
@@ -396,21 +380,20 @@ def hessian_topk(network, batch, k: int, seed: int = 0, max_iter: int = 200,
     probing, so the differentiated path is the smooth surrogate the
     training gradients follow, with the binary convs acting as frozen
     linear maps. Each Hessian-vector product costs two gradient
-    evaluations on the batch; estimates that miss the residual tolerance
-    within the budget are flagged, not rejected.
+    evaluations on the batch; estimates that miss the relative residual
+    tolerance 1e-4 within the budget are flagged, not rejected. Every
+    forward runs in eval mode, so the BN running statistics stay as they are.
     """
     from .train import batch_gradient
 
     try:
-        network.set_bn_stat_updates(False)
         network.set_quant_mode("capture")
         batch_gradient(network, batch)  # record decisions here
         network.set_quant_mode("use")
         hvp, dim = network_hvp(network, batch)
-        return hessian_topk_operator(hvp, dim, k, seed=seed, max_iter=max_iter, rtol=rtol)
+        return hessian_topk_operator(hvp, dim, k, seed=seed, max_iter=max_iter, rtol=1e-4)
     finally:
         network.set_quant_mode(None)
-        network.set_bn_stat_updates(True)
 
 
 def write_spectrum_csv(path, values) -> None:

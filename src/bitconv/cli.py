@@ -29,9 +29,7 @@ def _outdir(args) -> str:
 
 
 def cmd_verify(args) -> int:
-    variants = verify.VARIANTS
-    results = verify.run_suite(args.cases, seed=args.seed, corrupt_pad=args.corrupt_pad,
-                               variants=variants)
+    results = verify.run_suite(args.cases, seed=args.seed, corrupt_pad=args.corrupt_pad)
     failures = [r for r in results if not r.ok]
     by_variant = {}
     for r in results:

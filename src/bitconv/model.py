@@ -250,7 +250,6 @@ class BatchNorm(Layer):
         self.var = np.ones(channels, dtype=dtype)
         self.eps = L.BN_EPS
         self.momentum = L.BN_MOMENTUM
-        self.update_stats = True
         self.ggamma = np.zeros_like(self.gamma)
         self.gbeta = np.zeros_like(self.beta)
         self._cache = None
@@ -262,19 +261,18 @@ class BatchNorm(Layer):
     def buffers(self):
         return {"mu": self.mu, "var": self.var}
 
-    def alpha_bn(self, batch=False):
-        if batch and self._cache is not None:
-            return self.gamma / np.sqrt(self._cache[3] + self.eps)
-        return self.gamma / np.sqrt(self.var + self.eps)
+    def alpha_bn(self):
+        """gamma / sigma, with the last forward's statistics if there was one."""
+        var = self.var if self._cache is None else self._cache[3]
+        return self.gamma / np.sqrt(var + self.eps)
 
     def forward(self, x, training=False):
         self._training = training
         if training:
             mu = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
-            if self.update_stats:
-                self.mu += self.momentum * (mu - self.mu)
-                self.var += self.momentum * (var - self.var)
+            self.mu += self.momentum * (mu - self.mu)
+            self.var += self.momentum * (var - self.var)
         else:
             mu, var = self.mu, self.var
         inv_std = 1.0 / np.sqrt(var + self.eps)
@@ -474,12 +472,18 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in ("A", "B"):
             raise ValueError(f"variant must be 'A' or 'B', got {self.variant!r}")
+        if len(self.input_shape) != 3 or not self.stages:
+            raise ValueError("invalid stage spec")
+        counts = [self.n_convs, self.classes, *self.input_shape,
+                  *(v for stage in self.stages for v in stage)]
+        if not all(type(v) is int for v in counts):  # JSON floats and bools pass the range checks
+            raise ValueError("n_convs, classes, input_shape and stages must hold integers")
         if not 1 <= self.n_convs <= 4:
             raise ValueError("n_convs must be in [1, 4]")
         if self.width_multiplier <= 0:
             raise ValueError("width_multiplier must be > 0")
-        if len(self.input_shape) != 3 or self.classes < 2 or not self.stages:
-            raise ValueError("invalid stage spec")
+        if self.classes < 2:
+            raise ValueError("classes must be >= 2")
         for c, s in self.stages:
             if c < 1 or s not in (1, 2):
                 raise ValueError(f"invalid stage ({c}, {s})")
@@ -588,17 +592,13 @@ class Network:
 
     # -- training-mode switches --
 
-    def set_weight_binarization(self, flag: bool, init_magnitudes: bool = False):
+    def set_weight_binarization(self, flag: bool):
+        """Binarizing re-seeds the magnitudes from the latent weights."""
         for _, layer in self._walk():
             if isinstance(layer, MultiBinaryConv):
                 layer.weights_binary = flag
-                if flag and init_magnitudes:
+                if flag:
                     layer.init_magnitudes()
-
-    def set_bn_stat_updates(self, flag: bool):
-        for _, layer in self._walk():
-            if isinstance(layer, BatchNorm):
-                layer.update_stats = flag
 
     def set_quant_mode(self, mode):
         """None (live), 'capture', or 'use' for frozen-decision curvature probes."""
@@ -615,7 +615,7 @@ class Network:
         out = []
         for name, layer in self._walk():
             if isinstance(layer, BatchNorm):
-                out.append((name, float(np.abs(layer.alpha_bn(batch=True)).max())))
+                out.append((name, float(np.abs(layer.alpha_bn()).max())))
         return out
 
     # -- introspection --

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 
 
-def max_threads(default: int | None = None) -> int:
+def max_threads() -> int:
     """Parallelism cap from BDNET_THREADS (default: all cores).
 
     Benchmarks ignore this and always run single-threaded.
@@ -19,6 +19,4 @@ def max_threads(default: int | None = None) -> int:
         if n < 1:
             raise ValueError("BDNET_THREADS must be >= 1")
         return n
-    if default is not None:
-        return default
     return os.cpu_count() or 1

@@ -36,30 +36,28 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    optimizer: str = "adam"          # "adam" | "sgd"
-    momentum: float = 0.9            # sgd only
+    optimizer: str = "adam"          # "adam" | "sgd" (momentum 0.9)
     schedule: str = "cosine"         # "cosine" | "linear"
     lr: float = 1e-2
     weight_decay: float = 0.0
     epochs: int = 20
     batch_size: int = 32
     seed: int = 0
-    step: str = "one-step"           # "one-step" | "two-step"
-    step_split: float = 0.5          # fraction of epochs in step one
+    step: str = "one-step"           # "one-step" | "two-step" (half the epochs in step one)
 
     def __post_init__(self):
         if self.lr < 0:
             raise ValueError("lr must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.schedule not in ("cosine", "linear"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.step not in ("one-step", "two-step"):
             raise ValueError(f"unknown step mode {self.step!r}")
-        if not 0 < self.step_split < 1:
-            raise ValueError("step_split must be in (0, 1)")
 
 
 @dataclass
@@ -99,11 +97,10 @@ class TrainReport:
     def final(self, split, metric="accuracy"):
         return float(self.curve(split, metric)[-1])
 
-    def late_variance(self, split, fraction=0.5, metric="accuracy"):
-        """Variance of the metric over the trailing fraction of epochs."""
-        c = self.curve(split, metric)
-        tail = c[len(c) - max(1, int(len(c) * fraction)):]
-        return float(np.var(tail))
+    def late_variance(self, split):
+        """Variance of the accuracy over the trailing half of the epochs."""
+        c = self.curve(split)
+        return float(np.var(c[len(c) - max(1, len(c) // 2):]))
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -201,15 +198,16 @@ class SGD:
 class Adam:
     """Adam with bias correction; the L2 term folds into the gradient."""
 
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self):
         self.m, self.v = {}, {}
         self.t = 0
 
     def step(self, records, lr, weight_decay=0.0):
         self.t += 1
-        c1 = 1 - self.beta1**self.t
-        c2 = 1 - self.beta2**self.t
+        c1 = 1 - self.BETA1**self.t
+        c2 = 1 - self.BETA2**self.t
         for name, param, grad, decay in records:
             g = grad.astype(np.float64)
             if decay and weight_decay:
@@ -221,17 +219,17 @@ class Adam:
                 self.m[name], self.v[name] = m, v
             else:
                 v = self.v[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= self.BETA1
+            m += (1 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1 - self.BETA2) * g * g
+            update = (m / c1) / (np.sqrt(v / c2) + self.EPS)
             param[...] = (param - lr * update).astype(param.dtype)
 
 
 def make_optimizer(cfg: TrainConfig):
     if cfg.optimizer == "sgd":
-        return SGD(cfg.momentum)
+        return SGD()
     return Adam()
 
 
@@ -282,26 +280,27 @@ def train(network: Network, data, cfg: TrainConfig, epoch_hook=None) -> TrainRep
     train_ds, val_ds = data
     if len(train_ds) == 0:
         raise ValueError("empty training split")
+    if len(val_ds) == 0:
+        raise ValueError("empty validation split")
     rng = np.random.default_rng(cfg.seed)
     opt = make_optimizer(cfg)
     report = TrainReport()
 
     if cfg.step == "two-step":
-        step1_epochs = min(cfg.epochs - 1, max(1, round(cfg.epochs * cfg.step_split)))
+        step1_epochs = min(cfg.epochs - 1, max(1, round(cfg.epochs / 2)))
         network.set_weight_binarization(False)
     else:
         step1_epochs = 0
 
     for epoch in range(cfg.epochs):
         if cfg.step == "two-step" and epoch == step1_epochs:
-            network.set_weight_binarization(True, init_magnitudes=True)
+            network.set_weight_binarization(True)
         in_step2 = cfg.step == "two-step" and epoch >= step1_epochs
         weight_decay = 0.0 if in_step2 else cfg.weight_decay
         lr = schedule_lr(cfg, epoch)
 
         if lr > 0:
             order = rng.permutation(len(train_ds))
-            network.set_bn_stat_updates(True)
             for start in range(0, len(order), cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 batch = (train_ds.x[idx], train_ds.y[idx])
@@ -388,15 +387,14 @@ def _smooth_patterns(count: int, channels: int, size: int, rng) -> np.ndarray:
 
 
 def gen_synthetic(kind: str, n: int, classes: int, seed: int, *,
-                  image_size: int = 8, channels: int = 1, noise: float = 0.5,
-                  val_fraction: float = 0.25):
+                  image_size: int = 8, channels: int = 1, noise: float = 0.5):
     """Reproducible labeled point clouds lifted to small image tensors.
 
     Each class owns an orthonormal low-frequency texture pattern; a
     sample's 2-D latent point modulates the pattern amplitude and mixes in
     a shared distractor pattern, so both the spatial texture and its
     magnitude carry label information. Returns (train, val) Datasets with
-    balanced classes.
+    balanced classes; a quarter of the samples go to val.
     """
     if kind not in ("blobs", "spirals"):
         raise ValueError(f"unknown synthetic kind {kind!r}")
@@ -422,7 +420,7 @@ def gen_synthetic(kind: str, n: int, classes: int, seed: int, *,
 
     perm = rng.permutation(n)
     x, labels = x[perm], labels[perm]
-    n_val = int(round(n * val_fraction))
+    n_val = round(n / 4)
     train = Dataset(x[n_val:], labels[n_val:], classes, "train")
     val = Dataset(x[:n_val], labels[:n_val], classes, "val")
     return train, val
@@ -436,9 +434,9 @@ def gen_synthetic(kind: str, n: int, classes: int, seed: int, *,
 ABLATION_NAMES = ("baseline", "prebn", "dual", "prebn_dual")
 
 
-def ablation_config(name: str, *, stages=((8, 1), (16, 2), (16, 1)),
-                    input_shape=(1, 8, 8), classes: int = 3) -> ModelConfig:
-    """Desk-scale ablation axes: baseline, +pre-BN, +dual, and both.
+def ablation_config(name: str, *, classes: int = 3) -> ModelConfig:
+    """Desk-scale ablation axes: baseline, +pre-BN, +dual, and both, on
+    (1, 8, 8) inputs through stages (8, 1), (16, 2), (16, 1).
 
     The baseline keeps the conventional post-BN shortcut (the backbone the
     naive binarization starts from carries one), so its block Jacobian has
@@ -449,56 +447,55 @@ def ablation_config(name: str, *, stages=((8, 1), (16, 2), (16, 1)),
     topo = BlockTopology.PRE_BN_RESIDUAL if "prebn" in name else BlockTopology.POST_BN_RESIDUAL
     n_convs = 2 if "dual" in name else 1
     return ModelConfig(
-        variant="A", n_convs=n_convs, width_multiplier=1.0, stages=tuple(stages),
-        input_shape=tuple(input_shape), classes=classes, topology=topo,
+        variant="A", n_convs=n_convs, width_multiplier=1.0, stages=((8, 1), (16, 2), (16, 1)),
+        input_shape=(1, 8, 8), classes=classes, topology=topo,
     )
 
 
-def stability_experiment(seeds=(0, 1, 2, 3, 4), *, kind: str = "blobs", classes: int = 4,
-                         n: int = 480, noise: float = 1.4, epochs: int = 30,
-                         lr: float = 5e-3, batch_size: int = 32, names=ABLATION_NAMES,
-                         curvature_window: int = 0, curvature_names=("baseline", "prebn_dual"),
-                         curvature_batch: int = 96):
+# The study's one synthetic task and training recipe
+STUDY_KIND, STUDY_CLASSES, STUDY_N, STUDY_NOISE = "blobs", 4, 480, 1.4
+STUDY_EPOCHS, STUDY_LR, STUDY_BATCH = 30, 5e-3, 32
+# The top Hessian eigenvalue is read at 5 states spread over the last half
+# of training, on a fixed batch of the training split
+CURVATURE_NAMES, CURVATURE_BATCH = ("baseline", "prebn_dual"), 96
+CURVATURE_EPOCHS = range(STUDY_EPOCHS // 2, STUDY_EPOCHS, STUDY_EPOCHS // 2 // 5)
+
+
+def _study_run(seed: int, name: str) -> dict:
+    """One (seed, config) run of the stability study, built from the seed alone.
+
+    Returns {"report": TrainReport}, plus for the configs in CURVATURE_NAMES
+    "lambda_max": the (epoch, top Hessian eigenvalue) pairs over
+    CURVATURE_EPOCHS.
+    """
+    from .analysis import hessian_topk
+
+    data = gen_synthetic(STUDY_KIND, STUDY_N, STUDY_CLASSES, seed=1000 + seed, noise=STUDY_NOISE)
+    net = build(ablation_config(name, classes=STUDY_CLASSES), seed=seed, dtype=np.float64)
+    cfg = TrainConfig(epochs=STUDY_EPOCHS, lr=STUDY_LR, batch_size=STUDY_BATCH, seed=seed)
+    if name not in CURVATURE_NAMES:
+        return {"report": train(net, data, cfg)}
+    probe = (data[0].x[:CURVATURE_BATCH], data[0].y[:CURVATURE_BATCH])
+    lams = []
+
+    def probe_curvature(network, epoch):
+        if epoch in CURVATURE_EPOCHS:
+            lams.append((epoch, hessian_topk(network, probe, 1, seed=7, max_iter=100)[0].value))
+
+    return {"report": train(net, data, cfg, epoch_hook=probe_curvature), "lambda_max": lams}
+
+
+def stability_experiment(seeds=(0, 1, 2, 3, 4), *, names=ABLATION_NAMES) -> dict:
     """Train every ablation config across seeds on one synthetic task.
 
     The canonical desk-scale stability study: one-step training (weights
     and activations binary from the start, the unstable regime), identical
-    data per seed across configs.
+    data per seed across configs. The curvature window is the meaningful
+    per-run summary: an unstable run keeps visiting sharp states while the
+    learning rate is still live, and one end-point snapshot of an annealed
+    trajectory is a lottery.
 
-    With curvature_window = K > 0, the top Hessian eigenvalue is measured
-    at K states spread over the last half of training for the configs in
-    curvature_names (an unstable run keeps visiting sharp states while the
-    learning rate is still live, so the window-wise spectrum is the
-    meaningful per-run summary; one end-point snapshot of an annealed
-    trajectory is a lottery).
-
-    Returns {config: [run, ...]} in seed order, where run is a dict with
-    "report", "network", and (when measured) "lambda_max" (a list of
-    (epoch, value) pairs over the window).
+    Returns {config: [run, ...]} in seed order, each run as _study_run
+    returns it; the runs are independent of each other.
     """
-    from .analysis import hessian_topk
-
-    results = {name: [] for name in names}
-    for seed in seeds:
-        data = gen_synthetic(kind, n, classes, seed=1000 + seed, noise=noise)
-        probe = (data[0].x[:curvature_batch], data[0].y[:curvature_batch])
-        for name in names:
-            net = build(ablation_config(name, classes=classes), seed=seed, dtype=np.float64)
-            cfg = TrainConfig(epochs=epochs, lr=lr, batch_size=batch_size, seed=seed)
-            lams = []
-            hook = None
-            if curvature_window > 0 and name in curvature_names:
-                half = epochs // 2
-                step = max(1, (epochs - half) // curvature_window)
-                probe_epochs = set(range(half, epochs, step))
-
-                def hook(network, epoch, lams=lams, probe_epochs=probe_epochs):
-                    if epoch in probe_epochs:
-                        est = hessian_topk(network, probe, 1, seed=7, max_iter=100)[0]
-                        lams.append((epoch, est.value))
-            report = train(net, data, cfg, epoch_hook=hook)
-            run = {"report": report, "network": net}
-            if lams:
-                run["lambda_max"] = lams
-            results[name].append(run)
-    return results
+    return {name: [_study_run(seed, name) for seed in seeds] for name in names}

@@ -110,11 +110,11 @@ def run_case(variant: str, rng, corrupt_pad: bool = False) -> CaseResult:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def run_suite(cases_per_variant: int = 1000, seed: int = 0, corrupt_pad: bool = False,
-              variants=VARIANTS) -> list[CaseResult]:
+def run_suite(cases_per_variant: int = 1000, seed: int = 0,
+              corrupt_pad: bool = False) -> list[CaseResult]:
     rng = np.random.default_rng(seed)
     results = []
-    for variant in variants:
+    for variant in VARIANTS:
         for _ in range(cases_per_variant):
             results.append(run_case(variant, rng, corrupt_pad=corrupt_pad))
     return results

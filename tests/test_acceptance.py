@@ -29,7 +29,7 @@ def report(n, text):
 @pytest.fixture(scope="module")
 def stability():
     t0 = time.monotonic()
-    results = stability_experiment(seeds=SEEDS, curvature_window=5)
+    results = stability_experiment(seeds=SEEDS)
     return results, time.monotonic() - t0
 
 

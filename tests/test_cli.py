@@ -78,6 +78,13 @@ class TestTrain:
         assert (a / "train_report.csv").read_text() == (b / "train_report.csv").read_text()
         assert (a / "model.ckpt").read_bytes() == (b / "model.ckpt").read_bytes()
 
+    @pytest.mark.parametrize("flags,message", [(["--samples", "2"], "empty validation split"),
+                                               (["--batch-size", "0"], "batch_size must be >= 1"),
+                                               (["--batch-size", "-1"], "batch_size must be >= 1")])
+    def test_bad_split_or_batch_exits_2(self, tmp_path, capsys, flags, message):
+        assert run(["--out", tmp_path, "train", "--config", "baseline", "--epochs", "1"] + flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestHessianCmd:
     def test_probe_spectrum(self, tmp_path, capsys):

@@ -82,7 +82,7 @@ class TestBatchNorm:
         assert np.all(np.isfinite(y))
         alpha = p.gamma / np.sqrt(x.var(axis=(0, 2, 3)) + p.eps)
         assert np.all(alpha > 100)  # the instability mechanism, not an overflow
-        assert np.array_equal(p.alpha_bn(batch=True), alpha)
+        assert np.array_equal(p.alpha_bn(), alpha)
 
     def test_training_updates_running_stats(self):
         rng = np.random.default_rng(3)
@@ -97,7 +97,6 @@ class TestBatchNorm:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((3, 2, 4, 4))
         p = bn_layer(rng.random(2) + 0.5, rng.standard_normal(2), np.zeros(2), np.ones(2))
-        p.update_stats = False
         gy = rng.standard_normal(x.shape)
         p.forward(x, training=True)
         gx = p.backward(gy)
@@ -295,7 +294,6 @@ class TestFormulasUnchanged:
         bn = M.BatchNorm("bn", shape[1], dtype)
         bn.gamma[...], bn.beta[...], bn.mu[...], bn.var[...] = gamma, beta, mu, var
         for training in (False, True):
-            bn.update_stats = False
             m, v = (x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))) if training else (mu, var)
             inv_std = 1.0 / np.sqrt(v + L.BN_EPS)
             xhat = (x - m.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)

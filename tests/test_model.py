@@ -130,22 +130,21 @@ class TestCostMonotonicity:
     def _regular_sub_ops(self, config):
         """Same stage spec, but 3x3 regular binary convs in place of the
         depth-wise ones (the substitution conventional stacks make)."""
-        from bitconv.analysis import CostReport
+        from bitconv.analysis import CostReport, LayerCost, conv_cost
 
-        report = CostReport()
         c_in, h, w = config.input_shape
         c0 = config.scaled(config.stages[0][0])
-        report.add("stem", "conv3x3", ConvSpec(c_in, c0, (3, 3), 1, 1).macs(h, w), binary=False)
+        rows = [conv_cost(ConvSpec(c_in, c0, (3, 3), 1, 1), (h, w), False, "stem")]
         prev = c0
         for idx, (c, s) in enumerate(config.stages):
             cs = config.scaled(c)
             spec = ConvSpec(prev, prev, (3, 3), stride=s, padding=1)
-            report.add(f"s{idx}_reg", "conv3x3", spec.macs(h, w), binary=True)
+            rows.append(conv_cost(spec, (h, w), True, f"s{idx}_reg"))
             h, w = spec.out_hw(h, w)
-            report.add(f"s{idx}_pw", "pw1x1", ConvSpec(prev, cs, (1, 1)).macs(h, w), binary=True)
+            rows.append(conv_cost(ConvSpec(prev, cs, (1, 1)), (h, w), True, f"s{idx}_pw"))
             prev = cs
-        report.add("head", "linear", prev * config.classes, binary=False)
-        return report.ops
+        rows.append(LayerCost.of("head", "linear", prev * config.classes, binary=False))
+        return CostReport(rows).ops
 
     def test_ordering_matches_reference_table(self):
         cfg_a = M.ModelConfig(variant="A", n_convs=2)
@@ -516,7 +515,6 @@ class TestSingleQuantizerPath:
         net = M.build(ablation_config("prebn_dual", classes=3), seed=2, dtype=np.float64)
         rng = np.random.default_rng(2)
         batch = (rng.standard_normal((12, 1, 8, 8)), rng.integers(0, 3, 12))
-        net.set_bn_stat_updates(False)
         live_logits = net.forward(batch[0])
         live_grad = batch_gradient(net, batch)
         net.set_quant_mode("capture")

@@ -216,6 +216,18 @@ class TestTrainLoop:
                 curve = report.curve(split, metric)
                 assert np.all(curve == curve[0])
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_non_positive_batch_size_rejected(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            TrainConfig(batch_size=batch_size)
+
+    def test_empty_validation_split_rejected(self):
+        tr, va = gen_synthetic("blobs", 2, 3, seed=12)
+        assert len(tr) == 2 and len(va) == 0
+        net = build(tiny_config(), seed=8, dtype=np.float64)
+        with pytest.raises(ValueError, match="empty validation split"):
+            train(net, (tr, va), TrainConfig(epochs=1, seed=2))
+
     def test_same_seed_bit_identical_curves(self):
         def run():
             tr, va = gen_synthetic("blobs", 96, 3, seed=13)

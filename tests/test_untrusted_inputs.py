@@ -35,6 +35,12 @@ MANIFEST = json.loads(CHECKPOINT[12:MANIFEST_END])
 BODY = CHECKPOINT[MANIFEST_END:]
 
 
+def _with_manifest(m: dict) -> bytes:
+    """A checkpoint of the real payload behind the manifest m."""
+    raw = json.dumps(m).encode()
+    return M.CKPT_MAGIC + struct.pack("<II", M.FORMAT_VERSION, len(raw)) + raw + BODY
+
+
 @st.composite
 def mutated(draw, data: bytes):
     """data with a few bytes overwritten, inserted or deleted, or truncated."""
@@ -81,8 +87,7 @@ def manifests(draw):
             m["entries"][m["entries"].index(entry)] = value
         else:
             entry[where] = draw(st.lists(st.integers(-3, 80), max_size=5) | JSON)
-    raw = json.dumps(m).encode()
-    return M.CKPT_MAGIC + struct.pack("<II", M.FORMAT_VERSION, len(raw)) + raw + BODY
+    return _with_manifest(m)
 
 
 class TestCheckpointLoad:
@@ -115,9 +120,17 @@ class TestCheckpointLoad:
     def test_inferred_shape_rejected(self, shape):
         m = json.loads(json.dumps(MANIFEST))
         m["entries"][0]["shape"] = shape
-        raw = json.dumps(m).encode()
         with pytest.raises(M.CheckpointError, match="invalid shape"):
-            M.load(M.CKPT_MAGIC + struct.pack("<II", M.FORMAT_VERSION, len(raw)) + raw + BODY)
+            M.load(_with_manifest(m))
+
+    @pytest.mark.parametrize("key,value", [("n_convs", 2.0), ("n_convs", True), ("classes", 3.0),
+                                           ("input_shape", [1.0, 6, 6]), ("stages", [[8.0, 1]]),
+                                           ("stages", [[8, 1.0]])])
+    def test_non_integer_count_rejected(self, key, value):
+        m = json.loads(json.dumps(MANIFEST))
+        m["config"][key] = value
+        with pytest.raises(M.CheckpointError, match="must hold integers"):
+            M.load(_with_manifest(m))
 
 
 def _container(shape, payload) -> bytes:
