@@ -268,15 +268,15 @@ class BatchNorm(Layer):
 
     def forward(self, x, training=False):
         self._training = training
-        if training:
-            mu = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+        mu = x.mean(axis=(0, 2, 3)) if training else self.mu
+        xhat = x - mu.reshape(1, -1, 1, 1)
+        if training:  # x.var(axis=(0, 2, 3)) bit for bit: its own steps, on the centered batch
+            var = np.square(xhat).sum(axis=(0, 2, 3)) / (x.size // x.shape[1])
             self.mu += self.momentum * (mu - self.mu)
             self.var += self.momentum * (var - self.var)
         else:
-            mu, var = self.mu, self.var
+            var = self.var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = x - mu.reshape(1, -1, 1, 1)
         xhat *= inv_std.reshape(1, -1, 1, 1)
         self._cache = (xhat, inv_std, mu, var)
         y = self.gamma.reshape(1, -1, 1, 1) * xhat
@@ -287,19 +287,30 @@ class BatchNorm(Layer):
         xhat, inv_std, mu, var = self._cache
         self.gbeta += gy.sum(axis=(0, 2, 3))
         self.ggamma += np.einsum("nchw,nchw->c", gy, xhat)
-        gxhat = gy * self.gamma.reshape(1, -1, 1, 1)
-        if not self._training:
-            return gxhat * inv_std.reshape(1, -1, 1, 1)
-        m = gy.shape[0] * gy.shape[2] * gy.shape[3]
-        return (inv_std.reshape(1, -1, 1, 1) / m) * (
-            m * gxhat
-            - gxhat.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
-            - xhat * np.einsum("nchw,nchw->c", gxhat, xhat).reshape(1, -1, 1, 1)
-        )
+        g = gy * self.gamma.reshape(1, -1, 1, 1)  # gxhat, then the input gradient in place
+        if self._training:  # (inv_std / m) * (m * gxhat - sum(gxhat) - xhat * sum(gxhat * xhat))
+            m = gy.size // gy.shape[1]
+            sum_g = g.sum(axis=(0, 2, 3))
+            sum_gx = np.einsum("nchw,nchw->c", g, xhat)
+            g *= m
+            g -= sum_g.reshape(1, -1, 1, 1)
+            g -= xhat * sum_gx.reshape(1, -1, 1, 1)
+            g *= (inv_std / m).reshape(1, -1, 1, 1)
+        else:
+            g *= inv_std.reshape(1, -1, 1, 1)
+        return g
 
 
 class ShiftedPReLU(Layer):
-    """Per-channel RPReLU-style activation: prelu(x - shift_in) + shift_out."""
+    """Per-channel RPReLU-style activation: prelu(x - shift_in) + shift_out.
+
+    With z = x - shift_in, the output is max(z, 0) + slope * min(z, 0) +
+    shift_out: one of the first two terms is zero, so every value equals
+    where(z >= 0, z, slope * z) + shift_out bit for bit, except that an
+    output of exactly zero may carry the other sign (for instance z = -0
+    and shift_out = -0 give +0). The forward keeps only min(z, 0), the
+    part the backward reads.
+    """
 
     def __init__(self, name: str, channels: int, dtype=np.float32):
         self.name = name
@@ -316,20 +327,30 @@ class ShiftedPReLU(Layer):
                 for k in ("shift_in", "slope", "shift_out")]
 
     def forward(self, x, training=False):
-        z = x - self.shift_in.reshape(1, -1, 1, 1)
-        self._cache = z
-        y = np.where(z >= 0, z, self.slope.reshape(1, -1, 1, 1) * z)
+        # z, made the cache min(z, 0) in place. The cache is allocated first and the
+        # output last: other orders left the heap a few MB larger at peak in
+        # batch-16 inference (glibc heap layout)
+        neg = x - self.shift_in.reshape(1, -1, 1, 1)
+        self._cache = neg
+        pos = np.maximum(neg, 0)
+        np.minimum(neg, 0, out=neg)
+        y = self.slope.reshape(1, -1, 1, 1) * neg
+        y += pos
         y += self.shift_out.reshape(1, -1, 1, 1)
         return y
 
     def backward(self, gy):
-        z = self._cache
-        sl = self.slope.reshape(1, -1, 1, 1)
-        dz = np.where(z >= 0, 1.0, sl).astype(gy.dtype)
+        neg = self._cache
         self.gshift_out += gy.sum(axis=(0, 2, 3))
-        self.gslope += np.einsum("nchw,nchw->c", gy, np.where(z < 0, z, 0.0))
-        gz = gy * dz
-        self.gshift_in += -gz.sum(axis=(0, 2, 3))
+        self.gslope += np.einsum("nchw,nchw->c", gy, neg)
+        # dz = slope where z < 0, else 1, built by arithmetic on the 0/1 pattern z >= 0:
+        # a select or a masked ufunc over a random pattern mispredicts a branch per element
+        ge = np.greater_equal(neg, 0, out=np.empty_like(gy))
+        dz = np.subtract(1, ge)
+        dz *= self.slope.astype(gy.dtype, copy=False).reshape(1, -1, 1, 1)
+        dz += ge
+        gz = np.multiply(dz, gy, out=dz)
+        self.gshift_in -= gz.sum(axis=(0, 2, 3))
         return gz
 
 
@@ -381,22 +402,19 @@ class Block:
     def backward(self, gy):
         x_shape, pooled, broadcast, no_skip = self._cache
         g0 = self.act.backward(gy)
-        if no_skip:
-            gz = self.bn.backward(g0)
-            return self.conv.backward(gz)
-        if self.topology is BlockTopology.PRE_BN_RESIDUAL:
-            gu = self.bn.backward(g0)
-            gz = gu
-            gr = g0 + gu
-        else:
-            gz = self.bn.backward(g0)
-            gr = g0
+        gz = self.bn.backward(g0)
         gx = self.conv.backward(gz)
+        if no_skip:
+            return gx
+        gr = g0  # fresh from the activation's backward, so the residual sums go in place
+        if self.topology is BlockTopology.PRE_BN_RESIDUAL:
+            gr += gz
         if broadcast:
             gr = L.broadcast_residual_backward(gr, x_shape[1])
         if pooled:
             gr = L.avg_pool2_backward(gr)
-        return gx + gr
+        gx += gr
+        return gx
 
     def layer_costs(self, in_hw):
         return self.conv.layer_costs(in_hw)
@@ -484,6 +502,8 @@ class ModelConfig:
             raise ValueError("width_multiplier must be > 0")
         if self.classes < 2:
             raise ValueError("classes must be >= 2")
+        if min(self.input_shape) < 1:
+            raise ValueError(f"input_shape entries must be >= 1, got {list(self.input_shape)}")
         for c, s in self.stages:
             if c < 1 or s not in (1, 2):
                 raise ValueError(f"invalid stage ({c}, {s})")

@@ -58,6 +58,8 @@ class TrainConfig:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.step not in ("one-step", "two-step"):
             raise ValueError(f"unknown step mode {self.step!r}")
+        if self.step == "two-step" and self.epochs < 2:
+            raise ValueError("two-step training needs epochs >= 2, one for each step")
 
 
 @dataclass
@@ -287,7 +289,7 @@ def train(network: Network, data, cfg: TrainConfig, epoch_hook=None) -> TrainRep
     report = TrainReport()
 
     if cfg.step == "two-step":
-        step1_epochs = min(cfg.epochs - 1, max(1, round(cfg.epochs / 2)))
+        step1_epochs = round(cfg.epochs / 2)  # 1 <= step1_epochs < epochs, as epochs >= 2
         network.set_weight_binarization(False)
     else:
         step1_epochs = 0

@@ -80,7 +80,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("flags,message", [(["--samples", "2"], "empty validation split"),
                                                (["--batch-size", "0"], "batch_size must be >= 1"),
-                                               (["--batch-size", "-1"], "batch_size must be >= 1")])
+                                               (["--batch-size", "-1"], "batch_size must be >= 1"),
+                                               (["--step", "two-step"],
+                                                "two-step training needs epochs >= 2, one for each step")])
     def test_bad_split_or_batch_exits_2(self, tmp_path, capsys, flags, message):
         assert run(["--out", tmp_path, "train", "--config", "baseline", "--epochs", "1"] + flags) == 2
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -264,7 +264,22 @@ class TestShiftedPReLU:
         got = prelu_layer(si, sl, so).forward(x)
         z = x - si.reshape(1, c, 1, 1)
         want = np.where(z >= 0, z, sl.reshape(1, c, 1, 1) * z) + so.reshape(1, c, 1, 1)
-        assert np.allclose(got, want, atol=1e-12)
+        assert np.array_equal(got, want)
+
+    def test_signed_zeros(self):
+        """Inputs of exactly +/-0 with shift_in = +0 and shift_out = -0: the
+        values equal the select formula and its gradients; only the sign of
+        a zero output may differ."""
+        x = np.array([0.0, -0.0, 1.5, -1.5, 5e-324, -5e-324]).reshape(1, 1, 2, 3)
+        act = prelu_layer(np.zeros(1), np.full(1, 0.25), np.full(1, -0.0))
+        got = act.forward(x)
+        want = np.where(x >= 0, x, 0.25 * x) + -0.0
+        assert np.array_equal(got, want)
+        assert np.all((np.signbit(got) == np.signbit(want)) | (want == 0))
+        gy = np.arange(1.0, 7.0).reshape(x.shape)
+        gx = act.backward(gy)
+        assert np.array_equal(gx, gy * np.where(x >= 0, 1.0, 0.25))
+        assert act.gslope[0] == np.sum(gy * np.where(x < 0, x, 0.0))
 
 
 SHAPES = [(1, 8, 16, 16), (16, 32, 8, 8), (3, 5, 6, 10)]
@@ -273,7 +288,8 @@ SHAPES = [(1, 8, 16, 16), (16, 32, 8, 8), (3, 5, 6, 10)]
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", SHAPES)
 class TestFormulasUnchanged:
-    """The in-place forwards are bit-identical to the plain formulas."""
+    """The in-place forwards and backwards are bit-identical to the plain
+    formulas."""
 
     @staticmethod
     def draws(shape, dtype):
@@ -310,7 +326,86 @@ class TestFormulasUnchanged:
         want = np.where(z >= 0, z, slope.reshape(1, -1, 1, 1) * z) + shift_out.reshape(1, -1, 1, 1)
         got = act.forward(x)
         assert got.dtype == dtype and np.array_equal(got, want)
-        assert np.array_equal(act._cache, z)
+        assert np.array_equal(act._cache, np.minimum(z, 0))
+
+    def test_shifted_prelu_backward(self, shape, dtype):
+        x, (shift_in, shift_out, g), slope = self.draws(shape, dtype)
+        gy = x[::-1] * g.reshape(1, -1, 1, 1)
+        act = M.ShiftedPReLU("act", shape[1], dtype)
+        act.shift_in[...], act.slope[...], act.shift_out[...] = shift_in, slope, shift_out
+        act.forward(x)
+        gx = act.backward(gy)
+        z = x - shift_in.reshape(1, -1, 1, 1)
+        dz = np.where(z >= 0, 1.0, slope.reshape(1, -1, 1, 1)).astype(dtype)
+        want = gy * dz
+        assert gx.dtype == dtype and np.array_equal(gx, want)
+        assert np.array_equal(act.gshift_out, gy.sum(axis=(0, 2, 3)))
+        assert np.array_equal(act.gslope, np.einsum("nchw,nchw->c", gy, np.where(z < 0, z, 0.0)))
+        assert np.array_equal(act.gshift_in, -want.sum(axis=(0, 2, 3)))
+
+    def test_batchnorm_backward(self, shape, dtype):
+        x, (gamma, beta, mu), var = self.draws(shape, dtype)
+        gy = (x[::-1] * 0.5 + 1.0).astype(dtype)
+        for training in (False, True):
+            bn = M.BatchNorm("bn", shape[1], dtype)
+            bn.gamma[...], bn.beta[...], bn.mu[...], bn.var[...] = gamma, beta, mu, var
+            bn.forward(x, training)
+            xhat, inv_std = bn._cache[:2]
+            got = bn.backward(gy)
+            gxhat = gy * gamma.reshape(1, -1, 1, 1)
+            if training:
+                m = shape[0] * shape[2] * shape[3]
+                want = (inv_std.reshape(1, -1, 1, 1) / m) * (
+                    m * gxhat
+                    - gxhat.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
+                    - xhat * np.einsum("nchw,nchw->c", gxhat, xhat).reshape(1, -1, 1, 1))
+            else:
+                want = gxhat * inv_std.reshape(1, -1, 1, 1)
+            assert got.dtype == dtype and np.array_equal(got, want)
+            assert np.array_equal(bn.gbeta, gy.sum(axis=(0, 2, 3)))
+            assert np.array_equal(bn.ggamma, np.einsum("nchw,nchw->c", gy, xhat))
+
+    @pytest.mark.parametrize("topology", list(L.BlockTopology))
+    @pytest.mark.parametrize("down", [False, True])
+    def test_block_backward(self, shape, dtype, topology, down):
+        """The block's input gradient is the residual sum of its sublayers'
+        backwards; down=True widens 2x at stride 2, so the skip is pooled
+        and broadcast."""
+        x, _, _ = self.draws(shape, dtype)
+        c = shape[1]
+        c_out = 2 * c if down else c
+        spec = (K.ConvSpec(c, c_out, (3, 3), stride=2, padding=1) if down
+                else K.ConvSpec(c, c, (3, 3), padding=1, groups=c))
+
+        def block():
+            rng = np.random.default_rng(c)
+            act = M.ShiftedPReLU("act", c_out, dtype)
+            act.shift_in[...] = rng.standard_normal(c_out)
+            bn = M.BatchNorm("bn", c_out, dtype)
+            bn.gamma[...], bn.mu[...] = rng.standard_normal(c_out), rng.standard_normal(c_out)
+            return M.Block("b", M.FloatConv("conv", spec, rng, dtype), bn, act, topology, c, c_out)
+
+        for training in (False, True):
+            blk, ref = block(), block()
+            y = blk.forward(x, training)
+            assert np.array_equal(ref.forward(x, training), y)
+            gy = (y[::-1] + 0.5).astype(dtype)
+            got = blk.backward(gy)
+            g0 = ref.act.backward(gy)
+            if topology is L.BlockTopology.NO_RESIDUAL:
+                want = ref.conv.backward(ref.bn.backward(g0))
+            else:
+                gz = ref.bn.backward(g0)
+                gr = g0 + gz if topology is PRE else g0
+                gx = ref.conv.backward(gz)
+                if down:
+                    gr = L.avg_pool2_backward(L.broadcast_residual_backward(gr, c))
+                want = gx + gr
+            assert got.dtype == dtype and np.array_equal(got, want)
+            for (_, a, ga, _), (_, b, gb, _) in zip(
+                    (r for layer in (blk.conv, blk.bn, blk.act) for r in layer.params()),
+                    (r for layer in (ref.conv, ref.bn, ref.act) for r in layer.params())):
+                assert np.array_equal(ga, gb)
 
 
 class TestAvgPool:

@@ -221,6 +221,11 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
             TrainConfig(batch_size=batch_size)
 
+    def test_two_step_needs_two_epochs(self):
+        with pytest.raises(ValueError, match="two-step training needs epochs >= 2"):
+            TrainConfig(step="two-step", epochs=1)
+        assert TrainConfig(step="two-step", epochs=2).epochs == 2
+
     def test_empty_validation_split_rejected(self):
         tr, va = gen_synthetic("blobs", 2, 3, seed=12)
         assert len(tr) == 2 and len(va) == 0

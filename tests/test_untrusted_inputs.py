@@ -132,6 +132,13 @@ class TestCheckpointLoad:
         with pytest.raises(M.CheckpointError, match="must hold integers"):
             M.load(_with_manifest(m))
 
+    @pytest.mark.parametrize("shape", [[0, 6, 6], [1, -3, 6]])
+    def test_non_positive_input_shape_rejected(self, shape):
+        m = json.loads(json.dumps(MANIFEST))
+        m["config"]["input_shape"] = shape
+        with pytest.raises(M.CheckpointError, match="input_shape entries must be >= 1"):
+            M.load(_with_manifest(m))
+
 
 def _container(shape, payload) -> bytes:
     return T.MAGIC + np.asarray(shape, dtype="<u4").tobytes() + payload
