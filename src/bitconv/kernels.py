@@ -2,16 +2,25 @@
 
 Two families share one geometry descriptor (ConvSpec):
 
-* float reference kernels -- direct cross-correlation with zero padding,
-  accumulated tap by tap (no FFT/Winograd, no im2col-GEMM restructuring).
-  These double as the correctness oracle for the binary kernels, as the
+* float reference kernels -- cross-correlation with zero padding. These
+  double as the correctness oracle for the binary kernels, as the
   full-precision layers of built networks and as the training surrogate of
-  the binary ones. A depth-wise conv and its gradients work per tap over
-  blocks of (sample, channel) planes laid out planes-last, so each tap is
-  one op along the plane axis and no loop runs per channel. The blocks are
+  the binary ones. A point-wise conv (1x1, stride 1, no padding, one
+  group) is a matrix product over channels, so it and its two gradients
+  run as BLAS matrix products (np.matmul). On +/-1 operands the partial
+  sums are small integers, exact in any order, so the result still equals
+  the binary kernel's bit for bit. Every other conv is direct, accumulated
+  tap by tap (no FFT/Winograd, no im2col): the regular one contracts
+  channels per tap with einsum, a depth-wise one works per tap over blocks
+  of (sample, channel) planes laid out planes-last, so each tap is one op
+  along the plane axis and no loop runs per channel. Those blocks are
   small enough to stay cache-resident (whole-tensor temporaries at batch
   96 cost more in page faults than they save in calls) and wide enough
-  along the planes for long inner loops.
+  along the planes for long inner loops. The k>1 regular convs stay
+  direct: lowered to im2col + BLAS they made neither a training step nor
+  a curvature probe faster than the point-wise path alone does, and the
+  direct 3x3 conv is the float baseline the bench times the bit-packed
+  kernel against.
 
 * bit-packed binary kernels -- the multiply-accumulate work runs as
   XNOR + popcount on packed words, with an integer accumulator that is
@@ -82,6 +91,11 @@ class ConvSpec:
     @property
     def is_depthwise(self) -> bool:
         return self.groups == self.in_channels == self.out_channels
+
+    @property
+    def is_pointwise(self) -> bool:
+        """1x1, stride 1, no padding, one group: the conv is a matrix product."""
+        return self.kernel == (1, 1) and self.stride == 1 and self.padding == 0 and self.groups == 1
 
     @property
     def group_in(self) -> int:
@@ -191,13 +205,15 @@ def _dw_blocks(planes: int, plane_elems: int, *arrays):
 
 
 def conv_float(x, w, spec: ConvSpec) -> np.ndarray:
-    """Direct cross-correlation with zero padding.
+    """Cross-correlation with zero padding.
 
-    Output spatial dims are floor((H + 2p - kh)/s) + 1. The channel
-    contraction runs per tap (einsum without BLAS dispatch), keeping the
-    whole kernel a plain direct convolution; a depth-wise conv scales each
-    block of planes by its channels' weights per tap. Either way each
-    output element sums its taps in row-major order, starting from zero.
+    Output spatial dims are floor((H + 2p - kh)/s) + 1. A point-wise spec
+    is one BLAS matrix product per sample, (O, C) @ (C, H*W), summed in
+    BLAS's order. Any other spec is a direct conv: a regular one contracts
+    channels per tap (einsum, no BLAS dispatch), a depth-wise one scales
+    each block of planes by its channels' weights per tap, and each output
+    element sums its taps in row-major order, starting from zero. (Why
+    k>1 stays direct: see the module docstring.)
     """
     x = as_nchw(x)
     w = np.asarray(w)
@@ -206,6 +222,9 @@ def conv_float(x, w, spec: ConvSpec) -> np.ndarray:
     if c != spec.in_channels:
         raise ValueError(f"input has {c} channels, spec wants {spec.in_channels}")
     ho, wo = spec.out_hw(h, win)
+    if spec.is_pointwise:  # (O, C) @ (C, H*W) for each sample
+        out = np.matmul(w.reshape(spec.out_channels, c), x.reshape(n, c, h * win))
+        return out.reshape(n, spec.out_channels, ho, wo)
     taps = _taps(spec, ho, wo)
     dtype = np.result_type(x.dtype, w.dtype)
     if spec.is_depthwise:
@@ -239,6 +258,9 @@ def conv_float_grad_input(gy, w, spec: ConvSpec, in_hw: tuple[int, int]) -> np.n
     h, win = in_hw
     p = spec.padding
     ho, wo = spec.out_hw(h, win)
+    if spec.is_pointwise:  # (C, O) @ (O, H*W) for each sample
+        gx = np.matmul(w.reshape(c, spec.in_channels).T, gy.reshape(n, c, ho * wo))
+        return gx.astype(gy.dtype, copy=False).reshape(n, spec.in_channels, h, win)
     taps = _taps(spec, ho, wo)
     if spec.is_depthwise:
         wt = np.tile(w.reshape(c, -1), (n, 1)).T.copy()  # (taps, planes)
@@ -268,6 +290,9 @@ def conv_float_grad_weight(x, gy, spec: ConvSpec) -> np.ndarray:
     gy = as_nchw(gy)
     n, c, h, win = x.shape
     ho, wo = spec.out_hw(h, win)
+    if spec.is_pointwise:  # (O, H*W) @ (H*W, C) for each sample, then the sum over samples
+        gw = np.matmul(gy.reshape(n, -1, ho * wo), x.reshape(n, c, h * win).transpose(0, 2, 1))
+        return gw.sum(axis=0).reshape(spec.weight_shape())
     taps = _taps(spec, ho, wo)
     dtype = np.result_type(x.dtype, gy.dtype)
     if spec.is_depthwise:

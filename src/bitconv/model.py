@@ -159,10 +159,15 @@ class MultiBinaryConv(Layer):
                 for i in range(self.n) for k in ("w", "beta", "thr")]
 
     def _clip_masks(self, x):
-        """Clip masks |arg| <= STE_CLIP of the live input per branch and of the weights."""
+        """Clip masks |arg| <= STE_CLIP of the live input per branch and of the
+        weights, as 0.0/1.0 floats: a float-by-float product skips the cast
+        loop a bool operand goes through, and gives the same values."""
         d = x[:, None] - self.thr[None, :, :, None, None]
         np.abs(d, out=d)
-        return d <= STE_CLIP, np.abs(self.w.reshape(self.stacked_spec.weight_shape())) <= STE_CLIP
+        np.less_equal(d, STE_CLIP, out=d)
+        mw = np.abs(self.w.reshape(self.stacked_spec.weight_shape()))
+        np.less_equal(mw, STE_CLIP, out=mw)
+        return d, mw
 
     def forward(self, x, training=False, packed=False):
         w = self.w.reshape(self.stacked_spec.weight_shape())  # (N*O, C/groups, kh, kw)
@@ -283,9 +288,10 @@ class BatchNorm(Layer):
         y += self.beta.reshape(1, -1, 1, 1)
         return y
 
-    def backward(self, gy):
+    def backward(self, gy, gy_sum=None):
+        """The input gradient; gy_sum is gy.sum(axis=(0, 2, 3)) if the caller has it."""
         xhat, inv_std, mu, var = self._cache
-        self.gbeta += gy.sum(axis=(0, 2, 3))
+        self.gbeta += gy.sum(axis=(0, 2, 3)) if gy_sum is None else gy_sum
         self.ggamma += np.einsum("nchw,nchw->c", gy, xhat)
         g = gy * self.gamma.reshape(1, -1, 1, 1)  # gxhat, then the input gradient in place
         if self._training:  # (inv_std / m) * (m * gxhat - sum(gxhat) - xhat * sum(gxhat * xhat))
@@ -321,6 +327,7 @@ class ShiftedPReLU(Layer):
         self.gslope = np.zeros_like(self.slope)
         self.gshift_out = np.zeros_like(self.shift_out)
         self._cache = None
+        self.grad_sum = None
 
     def params(self):
         return [(k, getattr(self, k), getattr(self, "g" + k), False)
@@ -340,6 +347,8 @@ class ShiftedPReLU(Layer):
         return y
 
     def backward(self, gy):
+        """The input gradient. Its per-channel sum, which gshift_in takes, is
+        kept as grad_sum: in a block, the BN below takes it as its gbeta."""
         neg = self._cache
         self.gshift_out += gy.sum(axis=(0, 2, 3))
         self.gslope += np.einsum("nchw,nchw->c", gy, neg)
@@ -350,7 +359,8 @@ class ShiftedPReLU(Layer):
         dz *= self.slope.astype(gy.dtype, copy=False).reshape(1, -1, 1, 1)
         dz += ge
         gz = np.multiply(dz, gy, out=dz)
-        self.gshift_in -= gz.sum(axis=(0, 2, 3))
+        self.grad_sum = gz.sum(axis=(0, 2, 3))
+        self.gshift_in -= self.grad_sum
         return gz
 
 
@@ -402,7 +412,7 @@ class Block:
     def backward(self, gy):
         x_shape, pooled, broadcast, no_skip = self._cache
         g0 = self.act.backward(gy)
-        gz = self.bn.backward(g0)
+        gz = self.bn.backward(g0, self.act.grad_sum)
         gx = self.conv.backward(gz)
         if no_skip:
             return gx

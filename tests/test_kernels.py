@@ -75,14 +75,14 @@ class TestConvFloat:
 
 
 class TestConvFloatGrads:
-    @pytest.mark.parametrize("dw,stride,padding", [
-        (False, 1, 1), (False, 2, 0), (True, 1, 1), (True, 2, 1),
+    @pytest.mark.parametrize("dw,stride,padding,k", [
+        (False, 1, 1, 3), (False, 2, 0, 3), (True, 1, 1, 3), (True, 2, 1, 3), (False, 1, 0, 1),
     ])
-    def test_grads_match_finite_differences(self, dw, stride, padding):
+    def test_grads_match_finite_differences(self, dw, stride, padding, k):
         rng = np.random.default_rng(12)
         ci = 3
         co = ci if dw else 4
-        spec = K.ConvSpec(ci, co, (3, 3), stride, padding, groups=ci if dw else 1)
+        spec = K.ConvSpec(ci, co, (k, k), stride, padding, groups=ci if dw else 1)
         x = rng.standard_normal((2, ci, 6, 6))
         w = rng.standard_normal(spec.weight_shape())
         gy = rng.standard_normal(K.conv_float(x, w, spec).shape)
@@ -99,11 +99,59 @@ class TestConvFloatGrads:
             xm = x.copy(); xm[idx] -= h
             fd = (loss(xp, w) - loss(xm, w)) / (2 * h)
             assert abs(gx[idx] - fd) < 1e-5 * max(1.0, abs(fd))
-        for idx in [(0, 0, 0, 0), (co - 1, spec.group_in - 1, 2, 2)]:
+        for idx in [(0, 0, 0, 0), (co - 1, spec.group_in - 1, k - 1, k - 1)]:
             wp = w.copy(); wp[idx] += h
             wm = w.copy(); wm[idx] -= h
             fd = (loss(x, wp) - loss(x, wm)) / (2 * h)
             assert abs(gw[idx] - fd) < 1e-5 * max(1.0, abs(fd))
+
+
+class TestPointwiseFloat:
+    """A 1x1, stride-1, unpadded, ungrouped conv and its gradients run as
+    BLAS matrix products instead of the per-tap path."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ci,co", [(1, 3), (8, 16), (64, 8), (255, 4), (256, 4)])
+    def test_sign_operands_exact(self, dtype, ci, co):
+        """On +/-1 operands every partial sum is an integer below 2**24, so
+        the product equals the nested-loop oracle bit for bit in float32
+        and float64, whatever order BLAS sums in. The packed == float
+        logits gate rests on this; 256 is ModelConfig()'s widest
+        point-wise input."""
+        spec = K.ConvSpec(ci, co, (1, 1))
+        assert spec.is_pointwise
+        rng = np.random.default_rng(ci * 1000 + co)
+        x = np.where(rng.random((2, ci, 3, 4)) < 0.5, -1.0, 1.0).astype(dtype)
+        w = np.where(rng.random(spec.weight_shape()) < 0.5, -1.0, 1.0).astype(dtype)
+        got = K.conv_float(x, w, spec)
+        assert got.dtype == dtype and np.array_equal(got, conv_nested_loops(x, w, spec))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_operands_within_summation_bound(self, dtype):
+        """On float operands the products sum in BLAS's order, not the
+        per-tap einsum's. Two sums of the same k products differ by at most
+        2 * gamma_k * sum |product|, gamma_k ~ k * eps / 2 (Higham, Accuracy
+        and Stability of Numerical Algorithms, 3.1), whatever either order;
+        the check allows k * eps * sum |product|."""
+        n, ci, co, h, w_ = 5, 24, 16, 4, 6
+        spec = K.ConvSpec(ci, co, (1, 1))
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((n, ci, h, w_)).astype(dtype)
+        w = rng.standard_normal(spec.weight_shape()).astype(dtype)
+        gy = rng.standard_normal((n, co, h, w_)).astype(dtype)
+        w2 = w[:, :, 0, 0]
+        cases = [  # (kernel result, einsum formula of the reference, its operands, terms per sum)
+            (K.conv_float(x, w, spec), "nchw,oc->nohw", (x, w2), ci),
+            (K.conv_float_grad_input(gy, w, spec, (h, w_)), "nohw,oc->nchw", (gy, w2), co),
+            (K.conv_float_grad_weight(x, gy, spec)[:, :, 0, 0], "nchw,nohw->oc", (x, gy), n * h * w_),
+        ]
+        eps = np.finfo(dtype).eps
+        for got, formula, operands, terms in cases:
+            want = np.einsum(formula, *operands)
+            bound = terms * eps * np.einsum(formula, *map(np.abs, operands))
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
+            assert np.all(np.abs(got - want) <= bound)
+            assert np.any(bound > 0)
 
 
 def dw_per_channel(x, w, gy, spec):

@@ -503,6 +503,9 @@ class TestSingleQuantizerPath:
         live = per_branch_pass(layer, x0, gy)
         layer.freeze_mode = "capture"
         assert_matches_per_branch(layer_pass(layer, x0, gy), live, dtype)
+        # the clip masks are captured as 0.0/1.0 in the net dtype, not as bools
+        for key, want in (("mask_x", np.stack(fz["mask_x"], axis=1)), ("mask_w", np.concatenate(fz["mask_w"]))):
+            assert layer._frozen[key].dtype == dtype and np.array_equal(layer._frozen[key], want), key
         # move input and weights off the capture point, across the clip edges
         rng = np.random.default_rng(n)
         x = (x0 + 0.3 * rng.standard_normal(x0.shape)).astype(dtype)
