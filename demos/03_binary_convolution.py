@@ -3,7 +3,8 @@
 Binary kernels accumulate in integers via XNOR-popcount and scale by the
 per-channel magnitude at the end, so they match the float kernel on the
 decoded +/-1 operands bit for bit. The multi-branch depth-wise conv runs
-sign-quantized branches of the shared input (two here) and sums them.
+sign-quantized branches of the shared input (two here) against one bank of
+their stacked filters, and sums them.
 """
 
 import numpy as np
@@ -32,9 +33,9 @@ print("regular 3x3 (channel-packed reduction), bit-exact:", np.array_equal(got_r
 
 a1 = rng.uniform(-0.5, 0.0, 8)
 q = DualQuantParams(a1, a1 + rng.uniform(0.1, 0.6, 8), rng.random(8), rng.random(8))
-w1 = binarize_weights(rng.standard_normal(spec.weight_shape()), q.beta1)
-w2 = binarize_weights(rng.standard_normal(spec.weight_shape()), q.beta2)
-dual = conv_multi_dw(x, [(w1, q.alpha1, q.beta1), (w2, q.alpha2, q.beta2)], spec)
-branch1 = conv_float(unpack(pack(x, q.alpha1)), unpack(w1.packed), spec) * q.beta1.reshape(1, -1, 1, 1)
-branch2 = conv_float(unpack(pack(x, q.alpha2)), unpack(w2.packed), spec) * q.beta2.reshape(1, -1, 1, 1)
+bank = binarize_weights(rng.standard_normal((16, 1, 3, 3)))  # both branches' 8 filters, stacked
+dual = conv_multi_dw(x, np.stack([q.alpha1, q.alpha2]), bank, np.stack([q.beta1, q.beta2]), spec)
+w1, w2 = unpack(bank.packed)[:8], unpack(bank.packed)[8:]
+branch1 = conv_float(unpack(pack(x, q.alpha1)), w1, spec) * q.beta1.reshape(1, -1, 1, 1)
+branch2 = conv_float(unpack(pack(x, q.alpha2)), w2, spec) * q.beta2.reshape(1, -1, 1, 1)
 print("two-branch depth-wise == sum of two quantized branches:", np.array_equal(dual, branch1 + branch2))

@@ -60,15 +60,15 @@ def _make_workload(op: str, geometry, seed: int):
     if op in ("float_conv", "float_dw"):
         return lambda: conv_float(x, wts, spec)
     beta = (np.abs(wts).mean(axis=(1, 2, 3))).astype(np.float64)
-    packed = BinaryConvWeights(pack(wts, 0.0), beta)
     if op in ("binary_conv", "binary_dw"):
+        packed = BinaryConvWeights(pack(wts, 0.0), beta)
         xb = pack(x, 0.0)
         return lambda: conv_binary(xb, packed, spec)
     if op == "dual_binary_dw":
         w2 = rng.standard_normal(spec.weight_shape()).astype(np.float32)
-        packed2 = BinaryConvWeights(pack(w2, 0.0), beta)
-        branches = [(packed, np.full(c, -0.25), beta), (packed2, np.full(c, 0.25), beta)]
-        return lambda: conv_multi_dw(x, branches, spec)
+        bank = BinaryConvWeights(pack(np.concatenate([wts, w2]), 0.0))
+        thr, mags = np.stack([np.full(c, -0.25), np.full(c, 0.25)]), np.stack([beta, beta])
+        return lambda: conv_multi_dw(x, thr, bank, mags, spec)
     raise ValueError(f"unknown op {op!r}; choose from {OPS}")
 
 

@@ -30,8 +30,9 @@ Two families share one geometry descriptor (ConvSpec):
 The input's sign pattern comes as a BitTensor or as the bool array
 x >= threshold of tensor.sign_bits, which the kernels read as is, so an
 activation needs no pack and unpack round trip (FINN-style thresholding,
-Umuroglu et al. 2017). All branches of a multi-branch depth-wise conv run
-as one kernel call over their stacked bit arrays.
+Umuroglu et al. 2017). A multi-branch binary conv (conv_multi_dw, the
+packed forward of every binary layer) runs all its branches as one kernel
+call over their stacked bit arrays, against one bank of stacked filters.
 
 Padding semantics: pads are zeros, i.e. padded positions contribute 0 to
 the accumulator (not -1). The depth-wise kernel masks pad positions out of
@@ -115,6 +116,17 @@ class ConvSpec:
 
     def weight_shape(self) -> tuple[int, int, int, int]:
         return (self.out_channels, self.group_in, *self.kernel)
+
+    @functools.lru_cache(maxsize=None)
+    def stacked(self, n: int) -> ConvSpec:
+        """The one conv of n = 1..4 parallel branches of this one: itself for
+        n = 1, else (depth-wise specs only) depth-wise over n*C channels."""
+        if not 1 <= n <= 4:
+            raise ValueError(f"branch count must be in [1, 4], got {n}")
+        if n > 1 and not self.is_depthwise:
+            raise ValueError("multiple branches are a depth-wise feature")
+        c = n * self.in_channels
+        return self if n == 1 else ConvSpec(c, c, self.kernel, self.stride, self.padding, c)
 
     def macs(self, h: int, w: int) -> int:
         """Multiply-accumulate count for one sample at input resolution h x w."""
@@ -517,36 +529,30 @@ def conv_binary(xb, w: BinaryConvWeights, spec: ConvSpec) -> np.ndarray:
     return acc * beta[None, :, None, None]
 
 
-def conv_multi_dw(x, branches, spec: ConvSpec) -> np.ndarray:
-    """Sum of N parallel binary depth-wise convs, 1 <= N <= 4.
+def conv_multi_dw(x, thresholds, bank: BinaryConvWeights, magnitudes, spec: ConvSpec) -> np.ndarray:
+    """Sum of N parallel binary convs of x, 1 <= N <= 4 (N > 1 depth-wise only).
 
-    branches is a list of (BinaryConvWeights, threshold, magnitude)
-    triples. The branches run as one depth-wise conv_binary over N*C
-    channels: on the stacked (batch, N*C, H, W) bits of x at each branch's
-    threshold, against the concatenated window words the branches' weights
-    hold. Each branch's scaled output is cast to the dtype of x and the
-    magnitudes, then the branches sum in order. |acc| * magnitude is exact
-    in float64, so the cast rounds as that dtype's product does. The
-    branches' words and operands are stacked anew on every call; a binary
-    layer instead keeps one stacked bank and calls conv_binary itself.
+    Branch i convolves the sign bits x >= thresholds[i] (thresholds is
+    (N, C)) with its O filters and scales them by magnitudes[i] (magnitudes
+    is (N, O)). bank holds all N*O filters, branch-major, at unit magnitude;
+    its kernel operand is built on first use and kept. The branches run as
+    one conv_binary over the N*C stacked channels of spec.stacked(N), whose
+    exact integer output is cast to the dtype of x and the magnitudes,
+    scaled in place, and summed over the branches in order.
     """
-    if not spec.is_depthwise:
-        raise ValueError("multi conv is defined for depth-wise specs")
-    if not 1 <= len(branches) <= 4:
-        raise ValueError(f"branch count must be in [1, 4], got {len(branches)}")
-    weights, thresholds, magnitudes = zip(*branches)
-    if any(wt.packed.shape != spec.weight_shape() for wt in weights):
-        raise ValueError(f"every branch's weights must match spec {spec.weight_shape()}")
-    x = as_nchw(x)
-    k, c = len(branches), spec.in_channels
-    words = np.concatenate([wt.packed.words for wt in weights])
-    packed = BitTensor((k * c, *spec.weight_shape()[1:]), words, weights[0].packed.pad_bits)
-    stacked = BinaryConvWeights(packed, np.concatenate([np.broadcast_to(m, (c,)) for m in magnitudes]))
-    stacked._operands[True] = np.concatenate([wt.operand(True) for wt in weights])
-    bits = sign_bits(x, [np.broadcast_to(t, (c,)) for t in thresholds])
-    kspec = ConvSpec(k * c, k * c, spec.kernel, spec.stride, spec.padding, k * c)
-    y = conv_binary(bits, stacked, kspec).astype(np.result_type(x, *magnitudes), copy=False)
-    return branch_sum(y.reshape(y.shape[0], k, c, *y.shape[2:]))
+    thresholds = np.asarray(thresholds)
+    magnitudes = np.asarray(magnitudes)
+    if thresholds.ndim != 2 or thresholds.shape[1] != spec.in_channels:
+        raise ValueError(f"thresholds must be (N, {spec.in_channels}), got {thresholds.shape}")
+    n = thresholds.shape[0]
+    kspec = spec.stacked(n)
+    if magnitudes.shape != (n, spec.out_channels):
+        raise ValueError(f"magnitudes must be {(n, spec.out_channels)}, got {magnitudes.shape}")
+    z = conv_binary(sign_bits(x, thresholds), bank, kspec)
+    z = z.astype(np.result_type(x, magnitudes), copy=False)
+    z = z.reshape(z.shape[0], n, -1, *z.shape[2:])  # (batch, N, O, Ho, Wo)
+    z *= magnitudes[None, :, :, None, None]
+    return branch_sum(z)
 
 
 def branch_sum(t: np.ndarray) -> np.ndarray:

@@ -12,16 +12,16 @@ straight-through estimator and the magnitudes/thresholds receive the
 gradients of the continuous surrogate. A binary layer runs all its branches
 as one float conv over their stacked channels, through one quantizer path
 whose inputs are live, or replayed from a capture for curvature probes.
-A packed forward (forward(x, packed=True)) is the same forward with the
-float conv swapped for the bit-packed kernel: conv_binary over the stacked
-sign bits of the input (tensor.sign_bits at each branch's thresholds)
-against the layer's one packed bank of N*C sign filters. Its integer
-counts are exact in the net dtype, so the shared tail (per-branch
-magnitude, then the branch sum) rounds as the float path does, and the
-two match bit for bit in float32 and float64 nets. The bank, with the
-kernel operand it builds on first use, is kept with a copy of the latent
-weights it was packed from and rebuilt only when the live weights differ
-from that copy, whatever changed them.
+A packed forward (forward(x, packed=True)) of a binary layer is
+kernels.conv_multi_dw: one bit-packed conv over the stacked sign bits of
+the input (tensor.sign_bits at each branch's thresholds) against the
+layer's one packed bank of N*C sign filters, on the same stacked spec as
+the float conv. Its integer counts are exact in the net dtype, so its
+tail (per-branch magnitude, then the branch sum) rounds as the float
+path's does, and the two match bit for bit in float32 and float64 nets.
+The bank, with the kernel operand it builds on first use, is kept with a
+copy of the latent weights it was packed from and rebuilt only when the
+live weights differ from that copy, whatever changed them.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import numpy as np
 from . import layers as L
 from . import tensor as T
 from .analysis import LayerCost, conv_cost
-from .kernels import (BinaryConvWeights, ConvSpec, branch_sum, conv_binary, conv_float,
-                      conv_float_grad_input, conv_float_grad_weight)
+from .kernels import (BinaryConvWeights, ConvSpec, branch_sum, conv_float, conv_float_grad_input,
+                      conv_float_grad_weight, conv_multi_dw)
 from .layers import BlockTopology
 
 STE_CLIP = 1.0
@@ -117,21 +117,15 @@ class MultiBinaryConv(Layer):
     masks come from the live values, or in "use" mode from the last
     "capture": each quantizer is then the affine map value + clip_mask *
     (arg - arg_at_capture), the path the straight-through backward follows.
-    With packed=True that conv is conv_binary on the live sign bits and the
-    layer's packed bank; the magnitudes and the branch sum are shared, and
-    there is no backward.
+    With packed=True the forward is conv_multi_dw on the live thresholds and
+    magnitudes and the layer's packed bank, and there is no backward.
     """
 
     def __init__(self, name: str, spec: ConvSpec, n_branches: int, rng, dtype=np.float32):
-        if n_branches < 1 or n_branches > 4:
-            raise ValueError("branch count must be in [1, 4]")
-        if n_branches > 1 and not spec.is_depthwise:
-            raise ValueError("multiple branches are a depth-wise feature")
+        self.stacked_spec = spec.stacked(n_branches)  # checks the branch count
         self.name = name
         self.spec = spec
         self.n = n_branches
-        c = n_branches * spec.in_channels
-        self.stacked_spec = spec if n_branches == 1 else ConvSpec(c, c, spec.kernel, spec.stride, spec.padding, c)
         self.weights_binary = True
         fan_in = spec.group_in * spec.kernel[0] * spec.kernel[1]
         # one (N, ...) array per kind of parameter and gradient, indexed by branch
@@ -171,36 +165,35 @@ class MultiBinaryConv(Layer):
 
     def forward(self, x, training=False, packed=False):
         w = self.w.reshape(self.stacked_spec.weight_shape())  # (N*O, C/groups, kh, kw)
-        if packed:  # the float conv below, with the bit-packed kernel swapped in
+        if packed:
             if not self.weights_binary:
                 raise RuntimeError("packed forward requires binarized weights")
             if self._packed is None or not np.array_equal(self._packed[0], self.w):
                 self._packed = (self.w.copy(), BinaryConvWeights(T.pack(w, 0.0)))
-            z = conv_binary(T.sign_bits(x, self.thr), self._packed[1], self.stacked_spec)
-            z = z.astype(np.result_type(x, w), copy=False)
+            self._cache = None  # a packed forward has no backward
+            return conv_multi_dw(x, self.thr, self._packed[1], self.beta, self.spec)
+        if self.freeze_mode == "use":  # value + clip_mask * (arg - arg_at_capture)
+            if self._frozen is None:
+                raise RuntimeError("no captured quantization decisions to replay")
+            fz = self._frozen
+            a = (x - fz["x0"])[:, None] * fz["mask_x"]
+            a += fz["a"]
+            ws = (w - fz["w0"]) * fz["mask_w"]
+            ws += fz["ws"]
         else:
-            if self.freeze_mode == "use":  # value + clip_mask * (arg - arg_at_capture)
-                if self._frozen is None:
-                    raise RuntimeError("no captured quantization decisions to replay")
-                fz = self._frozen
-                a = (x - fz["x0"])[:, None] * fz["mask_x"]
-                a += fz["a"]
-                ws = (w - fz["w0"]) * fz["mask_w"]
-                ws += fz["ws"]
-            else:
-                a = (x[:, None] >= self.thr[None, :, :, None, None]).astype(x.dtype) * 2 - 1
-                ws = (w >= 0).astype(w.dtype) * 2 - 1 if self.weights_binary else w
-            if self.freeze_mode == "capture":
-                if not self.weights_binary:
-                    raise RuntimeError("quantization freezing requires binarized weights")
-                mask_x, mask_w = self._clip_masks(x)
-                self._frozen = {"x0": x.copy(), "a": a, "ws": ws, "w0": w.copy(), "mask_x": mask_x, "mask_w": mask_w}
-            a = a.reshape(x.shape[0], -1, *x.shape[2:])  # (batch, N*C, H, W)
-            z = conv_float(a, ws, self.stacked_spec)
+            a = (x[:, None] >= self.thr[None, :, :, None, None]).astype(x.dtype) * 2 - 1
+            ws = (w >= 0).astype(w.dtype) * 2 - 1 if self.weights_binary else w
+        if self.freeze_mode == "capture":
+            if not self.weights_binary:
+                raise RuntimeError("quantization freezing requires binarized weights")
+            mask_x, mask_w = self._clip_masks(x)
+            self._frozen = {"x0": x.copy(), "a": a, "ws": ws, "w0": w.copy(), "mask_x": mask_x, "mask_w": mask_w}
+        a = a.reshape(x.shape[0], -1, *x.shape[2:])  # (batch, N*C, H, W)
+        z = conv_float(a, ws, self.stacked_spec)
         z = z.reshape(x.shape[0], self.n, -1, *z.shape[2:])  # (batch, N, O, Ho, Wo)
-        self._cache = None if packed else (x, a, ws, z)  # a packed forward has no backward
-        if self.weights_binary:  # the kernel's output is fresh, so it is scaled in place
-            z = np.multiply(z, self.beta[None, :, :, None, None], out=z if packed else None)
+        self._cache = (x, a, ws, z)
+        if self.weights_binary:
+            z = z * self.beta[None, :, :, None, None]
         return branch_sum(z)
 
     def backward(self, gy):
@@ -230,7 +223,7 @@ class MultiBinaryConv(Layer):
         Swapping the full (threshold, magnitude, weights) triples preserves
         the layer function exactly while restoring the boundary ordering.
         """
-        if self.n < 2 or not self.spec.is_depthwise:
+        if self.n < 2:
             return
         order = np.argsort(self.thr, axis=0, kind="stable")
         cols = np.arange(self.thr.shape[1])

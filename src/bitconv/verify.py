@@ -90,20 +90,15 @@ def run_case(variant: str, rng, corrupt_pad: bool = False) -> CaseResult:
 
     if variant in ("dual_dw", "multi_dw"):
         n_branches = 2 if variant == "dual_dw" else int(rng.integers(1, 5))
-        branches = []
-        for _ in range(n_branches):
-            thr = rng.uniform(-0.5, 0.5, c)
-            beta = rng.random(c) + 0.1
-            bw = BinaryConvWeights(pack(rng.standard_normal(spec.weight_shape()), 0.0), beta)
-            branches.append((bw, thr, beta))
-        packed = [bw.packed for bw, _, _ in branches]
-        if corrupt_pad and (fault := _pad_fault(packed, variant, x.shape, spec, n_branches)):
+        thr = rng.uniform(-0.5, 0.5, (n_branches, c))
+        beta = rng.random((n_branches, c)) + 0.1
+        bank = BinaryConvWeights(pack(rng.standard_normal(spec.stacked(n_branches).weight_shape()), 0.0))
+        if corrupt_pad and (fault := _pad_fault([bank.packed], variant, x.shape, spec, n_branches)):
             return fault
-        got = conv_multi_dw(x, branches, spec)
-        want = None
-        for bw, thr, beta in branches:
-            y = _oracle_binary(pack(x, thr), bw, spec)
-            want = y if want is None else want + y
+        got = conv_multi_dw(x, thr, bank, beta, spec)
+        filters = unpack(bank.packed).reshape(n_branches, *spec.weight_shape())
+        want = sum(_oracle_binary(pack(x, t), BinaryConvWeights(pack(f, 0.0), b), spec)
+                   for f, t, b in zip(filters, thr, beta))
         ok = np.array_equal(got, want)
         return CaseResult(variant, x.shape, spec, n_branches, ok, "" if ok else "mismatch vs oracle")
 

@@ -328,21 +328,19 @@ class TestKernelOperand:
             assert np.array_equal(K.conv_binary(xb, bw, spec),
                                   K.conv_binary(xb, K.binarize_weights(w, beta), spec))
 
-    def test_rewrapped_branch_matches_fresh(self):
-        # conv_multi_dw reads each branch's operand under the branch's own
-        # magnitude and leaves the bank's magnitude unchanged
+    def test_multi_builds_bank_operand_once(self):
+        # two calls on one stacked bank build its kernel operand once
         rng = np.random.default_rng(14)
         c = 5
         spec = K.ConvSpec(c, c, (3, 3), padding=1, groups=c)
         x = rng.standard_normal((2, c, 6, 6))
-        w = rng.standard_normal(spec.weight_shape())
-        thr, beta = rng.uniform(-0.3, 0.3, c), rng.random(c)
-        bw = K.binarize_weights(w)
-        for _ in range(2):
-            got = K.conv_multi_dw(x, [(bw, thr, beta)], spec)
-            want = K.conv_binary(T.pack(x, thr), K.binarize_weights(w, beta), spec)
-            assert np.array_equal(got, want)
-        assert np.array_equal(bw.magnitude, np.ones(c))
+        thr, beta = rng.uniform(-0.3, 0.3, (2, c)), rng.random((2, c))
+        bank = K.binarize_weights(rng.standard_normal(spec.stacked(2).weight_shape()))
+        first = K.conv_multi_dw(x, thr, bank, beta, spec)
+        operand = bank._operands[True]
+        assert np.array_equal(K.conv_multi_dw(x, thr, bank, beta, spec), first)
+        assert bank._operands[True] is operand
+        assert np.array_equal(bank.magnitude, np.ones(2 * c))
 
 
 class TestBitArrayEntry:
@@ -396,15 +394,14 @@ class TestBitArrayEntry:
         c = 7
         spec = K.ConvSpec(c, c, (3, 3), stride=2, padding=1, groups=c)
         x = self.tied_input(rng, (3, c, 9, 9)).astype(dtype)
-        branches, want = [], None
-        for _ in range(n):
-            thr = (rng.integers(-2, 3, c) * 0.25).astype(dtype)
-            beta = rng.random(c).astype(dtype)
-            bw = K.binarize_weights(rng.standard_normal(spec.weight_shape()))
-            branches.append((bw, thr, beta))
-            y = K.conv_binary(T.pack(x, thr), K.BinaryConvWeights(bw.packed, beta), spec).astype(dtype)
+        thr = (rng.integers(-2, 3, (n, c)) * 0.25).astype(dtype)
+        beta = rng.random((n, c)).astype(dtype)
+        ws = rng.standard_normal((n, *spec.weight_shape()))
+        want = None
+        for w, t, b in zip(ws, thr, beta):
+            y = K.conv_binary(T.pack(x, t), K.binarize_weights(w, b), spec).astype(dtype)
             want = y if want is None else want + y
-        got = K.conv_multi_dw(x, branches, spec)
+        got = K.conv_multi_dw(x, thr, K.binarize_weights(np.concatenate(ws)), beta, spec)
         assert got.dtype == dtype
         assert np.array_equal(got, want)
 
@@ -412,8 +409,7 @@ class TestBitArrayEntry:
         rng = np.random.default_rng(16)
         c = 4
         spec = K.ConvSpec(c, c, (3, 3), padding=1, groups=c)
-        branches = [(K.binarize_weights(rng.standard_normal(spec.weight_shape())),
-                     rng.uniform(-0.3, 0.3, c), rng.random(c)) for _ in range(3)]
+        bank = K.binarize_weights(rng.standard_normal(spec.stacked(3).weight_shape()))
         calls = []
         conv_binary = K.conv_binary
 
@@ -422,15 +418,32 @@ class TestBitArrayEntry:
             return conv_binary(xb, w, kspec)
 
         monkeypatch.setattr(K, "conv_binary", counting)
-        K.conv_multi_dw(rng.standard_normal((1, c, 6, 6)), branches, spec)
+        K.conv_multi_dw(rng.standard_normal((1, c, 6, 6)), rng.uniform(-0.3, 0.3, (3, c)), bank,
+                        rng.random((3, c)), spec)
         assert calls == [K.ConvSpec(3 * c, 3 * c, (3, 3), padding=1, groups=3 * c)]
 
     def test_multi_rejects_mismatched_branch(self):
+        # the bank's filters are 5x5 in a 3x3 spec
         spec = K.ConvSpec(2, 2, (3, 3), groups=2)
-        good = K.binarize_weights(np.ones(spec.weight_shape()))
-        bad = K.binarize_weights(np.ones((2, 1, 5, 5)))
+        bad = K.binarize_weights(np.ones((4, 1, 5, 5)))
         with pytest.raises(ValueError):
-            K.conv_multi_dw(np.ones((1, 2, 6, 6)), [(good, 0.0, 1.0), (bad, 0.0, 1.0)], spec)
+            K.conv_multi_dw(np.ones((1, 2, 6, 6)), np.zeros((2, 2)), bad, np.ones((2, 2)), spec)
+
+    @pytest.mark.parametrize("thr, bank_rows, beta, match", [
+        (np.zeros(2), 4, np.ones((2, 2)), "thresholds"),  # one threshold row, not (N, C)
+        (np.zeros((2, 1)), 4, np.ones((2, 2)), "thresholds"),  # scalar-per-branch thresholds
+        (np.zeros((2, 3)), 4, np.ones((2, 2)), "thresholds"),  # C = 3 in a 2-channel spec
+        (np.zeros((2, 2)), 4, np.ones(2), "magnitudes"),  # scalar-per-branch magnitudes
+        (np.zeros((2, 2)), 4, np.ones((2, 1)), "magnitudes"),
+        (np.zeros((2, 2)), 4, np.ones((3, 2)), "magnitudes"),
+        (np.zeros((2, 2)), 2, np.ones((2, 2)), "weights"),  # one branch's filters for two
+        (np.zeros((2, 2)), 6, np.ones((2, 2)), "weights"),
+    ])
+    def test_multi_rejects_misshapen_arguments(self, thr, bank_rows, beta, match):
+        spec = K.ConvSpec(2, 2, (3, 3), groups=2)
+        bank = K.binarize_weights(np.ones((bank_rows, 1, 3, 3)))
+        with pytest.raises(ValueError, match=match):
+            K.conv_multi_dw(np.ones((1, 2, 6, 6)), thr, bank, beta, spec)
 
     def test_non_finite_input_rejected(self):
         spec = K.ConvSpec(2, 2, (3, 3), groups=2)
@@ -440,7 +453,7 @@ class TestBitArrayEntry:
         with pytest.raises(ValueError, match="finite"):
             T.sign_bits(x)
         with pytest.raises(ValueError, match="finite"):
-            K.conv_multi_dw(x, [(bw, 0.0, 1.0)], spec)
+            K.conv_multi_dw(x, np.zeros((1, 2)), bw, np.ones((1, 2)), spec)
 
 
 class TestDualAndMulti:
@@ -450,9 +463,10 @@ class TestDualAndMulti:
         spec = K.ConvSpec(c, c, (3, 3), padding=1, groups=c)
         x = rng.standard_normal((1, c, 6, 6))
         q = DualQuantParams(np.full(c, -0.2), np.full(c, 0.2), rng.random(c), np.zeros(c))
-        w1 = K.binarize_weights(rng.standard_normal(spec.weight_shape()), q.beta1)
-        w2 = K.binarize_weights(rng.standard_normal(spec.weight_shape()), np.zeros(c))
-        got = K.conv_multi_dw(x, [(w1, q.alpha1, q.beta1), (w2, q.alpha2, q.beta2)], spec)
+        ws = rng.standard_normal((2, *spec.weight_shape()))
+        w1 = K.binarize_weights(ws[0], q.beta1)
+        bank = K.binarize_weights(np.concatenate(ws))
+        got = K.conv_multi_dw(x, np.stack([q.alpha1, q.alpha2]), bank, np.stack([q.beta1, q.beta2]), spec)
         want = K.conv_binary(T.pack(x, q.alpha1), w1, spec)
         assert np.array_equal(got, want)
 
@@ -466,10 +480,8 @@ class TestDualAndMulti:
         a1 = rng.uniform(-0.5, 0.0, c)
         a2 = a1 + rng.uniform(0.1, 0.5, c)
         q = DualQuantParams(a1, a2, rng.random(c) + 0.1, rng.random(c) + 0.1)
-        w_plus = np.ones(spec.weight_shape())
-        w1 = K.binarize_weights(w_plus, q.beta1)
-        w2 = K.binarize_weights(w_plus, q.beta2)
-        got = K.conv_multi_dw(x, [(w1, a1, q.beta1), (w2, a2, q.beta2)], spec)
+        bank = K.binarize_weights(np.ones(spec.stacked(2).weight_shape()))  # +1 filters
+        got = K.conv_multi_dw(x, np.stack([a1, a2]), bank, np.stack([q.beta1, q.beta2]), spec)
         assert np.array_equal(got, ternarize(x, q))
 
     def test_dual_matches_two_branch_oracle(self):
@@ -480,11 +492,11 @@ class TestDualAndMulti:
         a1 = rng.uniform(-0.4, 0.0, c)
         a2 = a1 + rng.uniform(0, 0.6, c)
         q = DualQuantParams(a1, a2, rng.random(c), rng.random(c))
-        w1 = K.binarize_weights(rng.standard_normal(spec.weight_shape()), q.beta1)
-        w2 = K.binarize_weights(rng.standard_normal(spec.weight_shape()), q.beta2)
-        got = K.conv_multi_dw(x, [(w1, a1, q.beta1), (w2, a2, q.beta2)], spec)
-        b1 = K.conv_float(T.unpack(T.pack(x, a1)), T.unpack(w1.packed), spec) * q.beta1.reshape(1, -1, 1, 1)
-        b2 = K.conv_float(T.unpack(T.pack(x, a2)), T.unpack(w2.packed), spec) * q.beta2.reshape(1, -1, 1, 1)
+        bank = K.binarize_weights(rng.standard_normal(spec.stacked(2).weight_shape()))
+        got = K.conv_multi_dw(x, np.stack([a1, a2]), bank, np.stack([q.beta1, q.beta2]), spec)
+        w1, w2 = np.split(T.unpack(bank.packed), 2)
+        b1 = K.conv_float(T.unpack(T.pack(x, a1)), w1, spec) * q.beta1.reshape(1, -1, 1, 1)
+        b2 = K.conv_float(T.unpack(T.pack(x, a2)), w2, spec) * q.beta2.reshape(1, -1, 1, 1)
         assert np.array_equal(got, b1 + b2)
 
     def test_multi_n1_equals_binary(self):
@@ -494,8 +506,9 @@ class TestDualAndMulti:
         x = rng.standard_normal((1, c, 6, 6))
         thr = rng.uniform(-0.3, 0.3, c)
         beta = rng.random(c)
-        bw = K.binarize_weights(rng.standard_normal(spec.weight_shape()), beta)
-        got = K.conv_multi_dw(x, [(bw, thr, beta)], spec)
+        w = rng.standard_normal(spec.weight_shape())
+        bw = K.binarize_weights(w, beta)
+        got = K.conv_multi_dw(x, thr[None], K.binarize_weights(w), beta[None], spec)
         want = K.conv_binary(T.pack(x, thr), bw, spec)
         assert np.array_equal(got, want)
 
@@ -504,26 +517,37 @@ class TestDualAndMulti:
         c = 3
         spec = K.ConvSpec(c, c, (3, 3), stride=1, padding=1, groups=c)
         x = rng.standard_normal((1, c, 8, 8))
-        branches, want = [], None
-        for _ in range(4):
-            thr = rng.uniform(-0.5, 0.5, c)
-            beta = rng.random(c)
-            bw = K.binarize_weights(rng.standard_normal(spec.weight_shape()), beta)
-            branches.append((bw, thr, beta))
-            y = K.conv_float(T.unpack(T.pack(x, thr)), T.unpack(bw.packed), spec) * beta.reshape(1, -1, 1, 1)
+        thr = rng.uniform(-0.5, 0.5, (4, c))
+        beta = rng.random((4, c))
+        bank = K.binarize_weights(rng.standard_normal(spec.stacked(4).weight_shape()))
+        want = None
+        for f, t, b in zip(np.split(T.unpack(bank.packed), 4), thr, beta):
+            y = K.conv_float(T.unpack(T.pack(x, t)), f, spec) * b.reshape(1, -1, 1, 1)
             want = y if want is None else want + y
-        assert np.array_equal(K.conv_multi_dw(x, branches, spec), want)
+        assert np.array_equal(K.conv_multi_dw(x, thr, bank, beta, spec), want)
 
     def test_branch_count_bounds(self):
         spec = K.ConvSpec(2, 2, (3, 3), groups=2)
-        with pytest.raises(ValueError):
-            K.conv_multi_dw(np.ones((1, 2, 4, 4)), [], spec)
+        for n in (0, 5):
+            bank = K.binarize_weights(np.ones((max(n, 1) * 2, 1, 3, 3)))
+            with pytest.raises(ValueError, match="branch count"):
+                K.conv_multi_dw(np.ones((1, 2, 4, 4)), np.zeros((n, 2)), bank, np.ones((n, 2)), spec)
 
     def test_non_depthwise_rejected(self):
         spec = K.ConvSpec(2, 4, (3, 3))
-        w = K.binarize_weights(np.ones(spec.weight_shape()), np.ones(4))
-        with pytest.raises(ValueError):
-            K.conv_multi_dw(np.ones((1, 2, 5, 5)), [(w, 0.0, 1.0), (w, 0.1, 1.0)], spec)
+        w = K.binarize_weights(np.ones((8, 2, 3, 3)))
+        with pytest.raises(ValueError, match="depth-wise"):
+            K.conv_multi_dw(np.ones((1, 2, 5, 5)), np.array([[0.0] * 2, [0.1] * 2]), w, np.ones((2, 4)), spec)
+
+    def test_multi_runs_regular_spec_as_one_branch(self):
+        # N = 1 on a point-wise spec is conv_binary with the magnitudes applied after it
+        rng = np.random.default_rng(9)
+        spec = K.ConvSpec(5, 3, (1, 1))
+        x = rng.standard_normal((2, 5, 4, 4))
+        thr, beta = rng.uniform(-0.3, 0.3, (1, 5)), rng.random((1, 3))
+        w = rng.standard_normal(spec.weight_shape())
+        got = K.conv_multi_dw(x, thr, K.binarize_weights(w), beta, spec)
+        assert np.array_equal(got, K.conv_binary(T.pack(x, thr[0]), K.binarize_weights(w, beta[0]), spec))
 
 
 class TestStructuralProperties:

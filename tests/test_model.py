@@ -326,6 +326,16 @@ class TestPackedFilterReuse:
         net.forward(x, packed=True)
         assert calls == []
 
+    def test_every_binary_layer_runs_conv_multi_dw(self, monkeypatch):
+        calls = []
+        multi = M.conv_multi_dw
+        monkeypatch.setattr(M, "conv_multi_dw", lambda *a: calls.append(a[2]) or multi(*a))
+        net = M.build(M.ModelConfig(n_convs=2), seed=1)
+        net.forward(np.random.default_rng(1).standard_normal((1, 3, 32, 32)), packed=True)
+        layers = binary_layers(net)
+        assert len(calls) == len(layers)
+        assert all(bank is layer._packed[1] for bank, layer in zip(calls, layers))
+
 
 RECORD_CONFIGS = ([ablation_config(name) for name in ABLATION_NAMES]
                   + [small_config(variant=v, n_convs=n) for v in ("A", "B") for n in (1, 2, 3, 4)])
