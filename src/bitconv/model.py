@@ -9,7 +9,11 @@ precision; variant "A" binarizes everything between stem and head.
 
 Every layer implements its own backward pass; quantizers use the clipped
 straight-through estimator and the magnitudes/thresholds receive the
-gradients of the continuous surrogate. A binary layer runs all its branches
+gradients of the continuous surrogate. A forward keeps what its backward
+reads only when called with grad=True (train.backward and
+train.batch_gradient do); any other forward keeps nothing, so evaluation
+and inference hold only the activations of the block being run, and a
+backward after it raises RuntimeError. A binary layer runs all its branches
 as one float conv over their stacked channels, through one quantizer path
 whose inputs are live, or replayed from a capture for curvature probes.
 A packed forward (forward(x, packed=True)) of a binary layer is
@@ -73,6 +77,13 @@ class Layer:
         pass
 
 
+def _kept(layer):
+    """The state layer's last forward kept for its backward."""
+    if layer._cache is None:
+        raise RuntimeError(f"{layer.name}: backward needs a forward with grad=True first")
+    return layer._cache
+
+
 class FloatConv(Layer):
     """Full-precision convolution layer (no bias; BN follows)."""
 
@@ -82,19 +93,21 @@ class FloatConv(Layer):
         fan_in = spec.group_in * spec.kernel[0] * spec.kernel[1]
         self.w = (rng.standard_normal(spec.weight_shape()) * np.sqrt(2.0 / fan_in)).astype(dtype)
         self.gw = np.zeros_like(self.w)
-        self._x = None
+        self._cache = None
 
     def params(self):
         return [("w", self.w, self.gw, True)]
 
-    def forward(self, x, training=False, packed=False):
+    def forward(self, x, training=False, packed=False, grad=False):
         """The float conv; packed is accepted and ignored (one form only)."""
-        self._x = x
+        self._cache = x if grad else None
         return conv_float(x, self.w, self.spec)
 
-    def backward(self, gy):
-        self.gw += conv_float_grad_weight(self._x, gy, self.spec)
-        return conv_float_grad_input(gy, self.w, self.spec, self._x.shape[2:])
+    def backward(self, gy, input_grad=True):
+        """The input gradient, or None without input_grad (the weight gradient only)."""
+        x = _kept(self)
+        self.gw += conv_float_grad_weight(x, gy, self.spec)
+        return conv_float_grad_input(gy, self.w, self.spec, x.shape[2:]) if input_grad else None
 
     def layer_costs(self, in_hw):
         return [conv_cost(self.spec, in_hw, False, self.name)]
@@ -163,7 +176,7 @@ class MultiBinaryConv(Layer):
         np.less_equal(mw, STE_CLIP, out=mw)
         return d, mw
 
-    def forward(self, x, training=False, packed=False):
+    def forward(self, x, training=False, packed=False, grad=False):
         w = self.w.reshape(self.stacked_spec.weight_shape())  # (N*O, C/groups, kh, kw)
         if packed:
             if not self.weights_binary:
@@ -191,15 +204,14 @@ class MultiBinaryConv(Layer):
         a = a.reshape(x.shape[0], -1, *x.shape[2:])  # (batch, N*C, H, W)
         z = conv_float(a, ws, self.stacked_spec)
         z = z.reshape(x.shape[0], self.n, -1, *z.shape[2:])  # (batch, N, O, Ho, Wo)
-        self._cache = (x, a, ws, z)
+        self._cache = (x, a, ws, z) if grad else None
         if self.weights_binary:
             z = z * self.beta[None, :, :, None, None]
         return branch_sum(z)
 
-    def backward(self, gy):
-        if self._cache is None:
-            raise RuntimeError("backward needs a float (non-packed) forward first")
-        x, a, ws, z = self._cache
+    def backward(self, gy, input_grad=True):
+        """The input gradient, or None without input_grad (the parameter gradients only)."""
+        x, a, ws, z = _kept(self)
         fz = self._frozen if self.freeze_mode == "use" else None
         mask_x, mask_w = self._clip_masks(x) if fz is None else (fz["mask_x"], fz["mask_w"])
         if self.weights_binary:
@@ -215,7 +227,7 @@ class MultiBinaryConv(Layer):
         ga = conv_float_grad_input(gz, ws, self.stacked_spec, a.shape[2:]).reshape(mask_x.shape)
         ga *= mask_x
         self.gthr -= ga.sum(axis=(0, 3, 4))
-        return branch_sum(ga)
+        return branch_sum(ga) if input_grad else None
 
     def post_step(self):
         """Keep branch thresholds sorted per channel by permuting whole branches.
@@ -252,6 +264,7 @@ class BatchNorm(Layer):
         self.gbeta = np.zeros_like(self.beta)
         self._cache = None
         self._training = False
+        self._var = None  # the variance the last forward normalized with
 
     def params(self):
         return [("gamma", self.gamma, self.ggamma, False), ("beta", self.beta, self.gbeta, False)]
@@ -260,11 +273,12 @@ class BatchNorm(Layer):
         return {"mu": self.mu, "var": self.var}
 
     def alpha_bn(self):
-        """gamma / sigma, with the last forward's statistics if there was one."""
-        var = self.var if self._cache is None else self._cache[3]
+        """gamma / sigma, with the variance of the last forward if there was
+        one (its batch variance in training), kept whatever its grad was."""
+        var = self.var if self._var is None else self._var
         return self.gamma / np.sqrt(var + self.eps)
 
-    def forward(self, x, training=False):
+    def forward(self, x, training=False, grad=False):
         self._training = training
         mu = x.mean(axis=(0, 2, 3)) if training else self.mu
         xhat = x - mu.reshape(1, -1, 1, 1)
@@ -276,14 +290,15 @@ class BatchNorm(Layer):
             var = self.var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat *= inv_std.reshape(1, -1, 1, 1)
-        self._cache = (xhat, inv_std, mu, var)
+        self._var = var
+        self._cache = (xhat, inv_std) if grad else None
         y = self.gamma.reshape(1, -1, 1, 1) * xhat
         y += self.beta.reshape(1, -1, 1, 1)
         return y
 
     def backward(self, gy, gy_sum=None):
         """The input gradient; gy_sum is gy.sum(axis=(0, 2, 3)) if the caller has it."""
-        xhat, inv_std, mu, var = self._cache
+        xhat, inv_std = _kept(self)
         self.gbeta += gy.sum(axis=(0, 2, 3)) if gy_sum is None else gy_sum
         self.ggamma += np.einsum("nchw,nchw->c", gy, xhat)
         g = gy * self.gamma.reshape(1, -1, 1, 1)  # gxhat, then the input gradient in place
@@ -307,8 +322,8 @@ class ShiftedPReLU(Layer):
     shift_out: one of the first two terms is zero, so every value equals
     where(z >= 0, z, slope * z) + shift_out bit for bit, except that an
     output of exactly zero may carry the other sign (for instance z = -0
-    and shift_out = -0 give +0). The forward keeps only min(z, 0), the
-    part the backward reads.
+    and shift_out = -0 give +0). With grad, the forward keeps only
+    min(z, 0), the part the backward reads.
     """
 
     def __init__(self, name: str, channels: int, dtype=np.float32):
@@ -326,12 +341,12 @@ class ShiftedPReLU(Layer):
         return [(k, getattr(self, k), getattr(self, "g" + k), False)
                 for k in ("shift_in", "slope", "shift_out")]
 
-    def forward(self, x, training=False):
-        # z, made the cache min(z, 0) in place. The cache is allocated first and the
-        # output last: other orders left the heap a few MB larger at peak in
-        # batch-16 inference (glibc heap layout)
+    def forward(self, x, training=False, grad=False):
+        # z, made min(z, 0) in place, the cache with grad. The cache is allocated
+        # first and the output last: other orders left the heap a few MB larger
+        # at peak in batch-16 inference (glibc heap layout)
         neg = x - self.shift_in.reshape(1, -1, 1, 1)
-        self._cache = neg
+        self._cache = neg if grad else None
         pos = np.maximum(neg, 0)
         np.minimum(neg, 0, out=neg)
         y = self.slope.reshape(1, -1, 1, 1) * neg
@@ -342,7 +357,7 @@ class ShiftedPReLU(Layer):
     def backward(self, gy):
         """The input gradient. Its per-channel sum, which gshift_in takes, is
         kept as grad_sum: in a block, the BN below takes it as its gbeta."""
-        neg = self._cache
+        neg = _kept(self)
         self.gshift_out += gy.sum(axis=(0, 2, 3))
         self.gslope += np.einsum("nchw,nchw->c", gy, neg)
         # dz = slope where z < 0, else 1, built by arithmetic on the 0/1 pattern z >= 0:
@@ -385,29 +400,32 @@ class Block:
             r = L.broadcast_residual(r, self.out_channels)
         return r, pooled, broadcast
 
-    def forward(self, x, training=False, packed=False):
-        z = self.conv.forward(x, training, packed)
+    def forward(self, x, training=False, packed=False, grad=False):
+        z = self.conv.forward(x, training, packed, grad)
         # a narrowing layer has no residual path (channel reduction skips
         # are out of scope), regardless of the configured topology
         no_skip = (self.topology is BlockTopology.NO_RESIDUAL
                    or self.out_channels < self.in_channels)
         if no_skip:
-            y0 = self.bn.forward(z, training)
-            self._cache = (x.shape, False, False, True)
+            y0 = self.bn.forward(z, training, grad)
+            cache = (x.shape, False, False, True)
         else:
             r, pooled, broadcast = self._skip(x, z.shape[2:])
             pre = self.topology is BlockTopology.PRE_BN_RESIDUAL
-            y0 = self.bn.forward(z + r if pre else z, training)  # z + r is not kept alive
+            y0 = self.bn.forward(z + r if pre else z, training, grad)  # z + r is not kept alive
             y0 += r
-            self._cache = (x.shape, pooled, broadcast, False)
-        return self.act.forward(y0, training)
+            cache = (x.shape, pooled, broadcast, False)
+        self._cache = cache if grad else None
+        return self.act.forward(y0, training, grad)
 
-    def backward(self, gy):
-        x_shape, pooled, broadcast, no_skip = self._cache
+    def backward(self, gy, input_grad=True):
+        """The input gradient, or None without input_grad: the sublayers'
+        parameter gradients only, with no conv input gradient or skip path."""
+        x_shape, pooled, broadcast, no_skip = _kept(self)
         g0 = self.act.backward(gy)
         gz = self.bn.backward(g0, self.act.grad_sum)
-        gx = self.conv.backward(gz)
-        if no_skip:
+        gx = self.conv.backward(gz, input_grad)
+        if no_skip or not input_grad:
             return gx
         gr = g0  # fresh from the activation's backward, so the residual sums go in place
         if self.topology is BlockTopology.PRE_BN_RESIDUAL:
@@ -432,14 +450,14 @@ class Block:
 class GlobalAvgPool(Layer):
     def __init__(self, name: str):
         self.name = name
-        self._hw = None
+        self._cache = None
 
-    def forward(self, x, training=False):
-        self._hw = x.shape[2:]
+    def forward(self, x, training=False, grad=False):
+        self._cache = x.shape[2:] if grad else None
         return x.mean(axis=(2, 3))
 
     def backward(self, gy):
-        h, w = self._hw
+        h, w = _kept(self)
         return np.broadcast_to(gy[:, :, None, None], gy.shape + (h, w)).copy() / (h * w)
 
 
@@ -452,17 +470,17 @@ class Dense(Layer):
         self.b = np.zeros(out_features, dtype=dtype)
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
-        self._x = None
+        self._cache = None
 
     def params(self):
         return [("w", self.w, self.gw, True), ("b", self.b, self.gb, False)]
 
-    def forward(self, x, training=False):
-        self._x = x
+    def forward(self, x, training=False, grad=False):
+        self._cache = x if grad else None
         return x @ self.w.T + self.b
 
     def backward(self, gy):
-        self.gw += gy.T @ self._x
+        self.gw += gy.T @ _kept(self)
         self.gb += gy.sum(axis=0)
         return gy @ self.w
 
@@ -548,20 +566,29 @@ class Network:
 
     # -- forward / backward --
 
-    def forward(self, x, training=False, packed=False):
+    def forward(self, x, training=False, packed=False, grad=False):
+        """The logits. With grad every layer keeps what its backward reads;
+        without it no layer keeps anything, and a backward raises
+        RuntimeError. A packed forward has no backward, so packed with grad
+        raises ValueError."""
+        if packed and grad:
+            raise ValueError("a packed forward has no backward: grad must be False")
         y = np.asarray(x, dtype=self.dtype)
         for item in self.items:
             if isinstance(item, Block):
-                y = item.forward(y, training, packed=packed)
+                y = item.forward(y, training, packed, grad)
             else:
-                y = item.forward(y, training)
+                y = item.forward(y, training, grad)
         return y
 
     def backward(self, dlogits):
+        """Accumulate every parameter gradient of the last forward, which must
+        have been run with grad=True. Returns None: the first item stops at
+        its parameter gradients, since no caller reads the input gradient."""
         g = dlogits
-        for item in reversed(self.items):
+        for item in reversed(self.items[1:]):
             g = item.backward(g)
-        return g
+        self.items[0].backward(g, input_grad=False)
 
     # -- parameter plumbing --
 

@@ -151,7 +151,7 @@ def batch_gradient(network: Network, batch) -> np.ndarray:
     """Flat eval-mode loss gradient on a fixed batch (used for HVPs)."""
     x, y = batch
     network.zero_grads()
-    logits = network.forward(x, training=False)
+    logits = network.forward(x, training=False, grad=True)
     _, dlogits, _ = softmax_cross_entropy(logits, y)
     network.backward(dlogits.astype(network.dtype))
     return network.get_flat_grads()
@@ -165,7 +165,7 @@ def backward(network: Network, batch):
     """
     x, y = batch
     network.zero_grads()
-    logits = network.forward(x, training=True)
+    logits = network.forward(x, training=True, grad=True)
     loss, dlogits, acc = softmax_cross_entropy(logits, y)
     network.backward(dlogits.astype(network.dtype))
     return loss, acc

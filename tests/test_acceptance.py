@@ -251,7 +251,7 @@ def test_criterion_9_gradient_checks():
     layer = M.MultiBinaryConv("t", spec, 2, rng, dtype=np.float64)
     xb = rng.standard_normal((2, 4, 6, 6))
     gy = rng.standard_normal(layer.forward(xb).shape)
-    layer.forward(xb)
+    layer.forward(xb, grad=True)
     layer.backward(gy)
     worst_beta = 0.0
     for i in range(2):

@@ -98,7 +98,7 @@ class TestBatchNorm:
         x = rng.standard_normal((3, 2, 4, 4))
         p = bn_layer(rng.random(2) + 0.5, rng.standard_normal(2), np.zeros(2), np.ones(2))
         gy = rng.standard_normal(x.shape)
-        p.forward(x, training=True)
+        p.forward(x, training=True, grad=True)
         gx = p.backward(gy)
         h = 1e-6
 
@@ -272,7 +272,7 @@ class TestShiftedPReLU:
         a zero output may differ."""
         x = np.array([0.0, -0.0, 1.5, -1.5, 5e-324, -5e-324]).reshape(1, 1, 2, 3)
         act = prelu_layer(np.zeros(1), np.full(1, 0.25), np.full(1, -0.0))
-        got = act.forward(x)
+        got = act.forward(x, grad=True)
         want = np.where(x >= 0, x, 0.25 * x) + -0.0
         assert np.array_equal(got, want)
         assert np.all((np.signbit(got) == np.signbit(want)) | (want == 0))
@@ -314,7 +314,7 @@ class TestFormulasUnchanged:
             inv_std = 1.0 / np.sqrt(v + L.BN_EPS)
             xhat = (x - m.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
             want = gamma.reshape(1, -1, 1, 1) * xhat + beta.reshape(1, -1, 1, 1)
-            got = bn.forward(x, training)
+            got = bn.forward(x, training, grad=True)
             assert got.dtype == dtype and np.array_equal(got, want)
             assert np.array_equal(bn._cache[0], xhat)
 
@@ -324,7 +324,7 @@ class TestFormulasUnchanged:
         act.shift_in[...], act.slope[...], act.shift_out[...] = shift_in, slope, shift_out
         z = x - shift_in.reshape(1, -1, 1, 1)
         want = np.where(z >= 0, z, slope.reshape(1, -1, 1, 1) * z) + shift_out.reshape(1, -1, 1, 1)
-        got = act.forward(x)
+        got = act.forward(x, grad=True)
         assert got.dtype == dtype and np.array_equal(got, want)
         assert np.array_equal(act._cache, np.minimum(z, 0))
 
@@ -333,7 +333,7 @@ class TestFormulasUnchanged:
         gy = x[::-1] * g.reshape(1, -1, 1, 1)
         act = M.ShiftedPReLU("act", shape[1], dtype)
         act.shift_in[...], act.slope[...], act.shift_out[...] = shift_in, slope, shift_out
-        act.forward(x)
+        act.forward(x, grad=True)
         gx = act.backward(gy)
         z = x - shift_in.reshape(1, -1, 1, 1)
         dz = np.where(z >= 0, 1.0, slope.reshape(1, -1, 1, 1)).astype(dtype)
@@ -349,7 +349,7 @@ class TestFormulasUnchanged:
         for training in (False, True):
             bn = M.BatchNorm("bn", shape[1], dtype)
             bn.gamma[...], bn.beta[...], bn.mu[...], bn.var[...] = gamma, beta, mu, var
-            bn.forward(x, training)
+            bn.forward(x, training, grad=True)
             xhat, inv_std = bn._cache[:2]
             got = bn.backward(gy)
             gxhat = gy * gamma.reshape(1, -1, 1, 1)
@@ -387,8 +387,8 @@ class TestFormulasUnchanged:
 
         for training in (False, True):
             blk, ref = block(), block()
-            y = blk.forward(x, training)
-            assert np.array_equal(ref.forward(x, training), y)
+            y = blk.forward(x, training, grad=True)
+            assert np.array_equal(ref.forward(x, training, grad=True), y)
             gy = (y[::-1] + 0.5).astype(dtype)
             got = blk.backward(gy)
             g0 = ref.act.backward(gy)

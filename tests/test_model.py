@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -457,7 +458,7 @@ def per_branch_pass(layer, x, gy, fz=None):
 def layer_pass(layer, x, gy):
     for g in (layer.gw, layer.gbeta, layer.gthr):
         g[...] = 0
-    y = layer.forward(x)
+    y = layer.forward(x, grad=True)
     gx = layer.backward(gy)
     return y, gx, [g.copy() for g in layer.gw], [g.copy() for g in layer.gbeta], [g.copy() for g in layer.gthr]
 
@@ -596,3 +597,104 @@ class TestSingleQuantizerPath:
         layer.freeze_mode = "capture"
         with pytest.raises(RuntimeError, match="binarized"):
             layer.forward(x)
+
+
+def one_of_each_layer(kind):
+    """A float64 layer of the given kind and an input it takes."""
+    rng = np.random.default_rng(11)
+    x4 = rng.standard_normal((2, 4, 6, 6))
+    if kind == "FloatConv":
+        return M.FloatConv("conv", ConvSpec(4, 5, (3, 3), padding=1), rng, np.float64), x4
+    if kind == "MultiBinaryConv":
+        layer, x, _ = make_layer(2, "dw", 1, np.float64)
+        return layer, x
+    if kind == "BatchNorm":
+        return M.BatchNorm("bn", 4, np.float64), x4
+    if kind == "ShiftedPReLU":
+        return M.ShiftedPReLU("act", 4, np.float64), x4
+    if kind == "GlobalAvgPool":
+        return M.GlobalAvgPool("gap"), x4
+    if kind == "Dense":
+        return M.Dense("head", 4, 3, rng, np.float64), x4[:, :, 0, 0]
+    conv = M.FloatConv("conv", ConvSpec(4, 4, (3, 3), padding=1, groups=4), rng, np.float64)
+    return M.Block("block", conv, M.BatchNorm("bn", 4, np.float64), M.ShiftedPReLU("act", 4, np.float64),
+                   BlockTopology.PRE_BN_RESIDUAL, 4, 4), x4
+
+
+LAYER_KINDS = ["FloatConv", "MultiBinaryConv", "BatchNorm", "ShiftedPReLU", "GlobalAvgPool", "Dense", "Block"]
+
+
+def traced_peak(forward):
+    """Peak bytes numpy and Python allocate while forward() runs."""
+    tracemalloc.start()
+    try:
+        forward()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def batch_arrays(net, batch):
+    """(layer, attribute) of every array a layer or block holds with the batch
+    as its leading axis, directly or in a tuple: backward state, since
+    parameters, gradients and buffers have no batch axis."""
+    layers = {id(layer): layer for layer in [*net.items, *(layer for _, layer in net._walk())]}
+    found = []
+    for layer in layers.values():
+        for attr, value in vars(layer).items():
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray) and a.ndim > 1 and a.shape[0] == batch:
+                    found.append((layer.name, attr))
+    return found
+
+
+class TestBackwardState:
+    """A forward keeps what its backward reads only with grad=True."""
+
+    @pytest.mark.parametrize("last_forward", ["none", "plain after grad"])
+    @pytest.mark.parametrize("kind", LAYER_KINDS)
+    def test_backward_without_kept_state_raises(self, kind, last_forward):
+        layer, x = one_of_each_layer(kind)
+        gy = np.ones_like(layer.forward(x))
+        if last_forward == "none":
+            layer, _ = one_of_each_layer(kind)
+        else:
+            layer.forward(x, grad=True)
+            layer.forward(x)
+        with pytest.raises(RuntimeError, match="backward"):
+            layer.backward(gy)
+
+    def test_packed_forward_with_grad_raises(self):
+        net = M.build(small_config(), seed=0, dtype=np.float64)
+        with pytest.raises(ValueError, match="packed"):
+            net.forward(np.zeros((2, 1, 8, 8)), packed=True, grad=True)
+
+    def test_batch_gradient_skips_the_stem_input_gradient(self, monkeypatch):
+        net = M.build(ablation_config("prebn_dual", classes=3), seed=0, dtype=np.float64)
+        rng = np.random.default_rng(0)
+        batch = (rng.standard_normal((6, 1, 8, 8)), rng.integers(0, 3, 6))
+        specs = []
+        grad_input = M.conv_float_grad_input
+
+        def counted(gy, w, spec, in_hw):
+            specs.append(spec)
+            return grad_input(gy, w, spec, in_hw)
+
+        monkeypatch.setattr(M, "conv_float_grad_input", counted)
+        batch_gradient(net, batch)
+        stem = net.items[0].conv.spec
+        assert specs and stem not in specs
+
+    def test_inference_forwards_keep_no_backward_state(self):
+        """At batch 16 (float64 ModelConfig()), the eval and the packed forward
+        peak under half of what the grad=True forward does, and leave no
+        batch-sized array in any layer."""
+        net = M.build(M.ModelConfig(), seed=0, dtype=np.float64)
+        x = np.random.default_rng(0).standard_normal((16, *net.config.input_shape))
+        net.forward(x[:1], packed=True)  # packs the banks, builds the kernel tables
+        grad_peak = traced_peak(lambda: net.forward(x, grad=True))
+        assert batch_arrays(net, 16)
+        for kw in ({}, {"packed": True}):
+            peak = traced_peak(lambda: net.forward(x, **kw))
+            assert peak < grad_peak / 2, (kw, peak, grad_peak)
+            assert batch_arrays(net, 16) == [], kw

@@ -154,7 +154,7 @@ class TestGradients:
             def probe():
                 return float((layer.forward(x) * gy).sum())
 
-            layer.forward(x)
+            layer.forward(x, grad=True)
             layer.backward(gy)
             h = 1e-3
             for i in range(n_branches):
@@ -179,7 +179,7 @@ class TestGradients:
         layer = M.MultiBinaryConv("t", spec, 1, rng, dtype=np.float64)
         x = rng.standard_normal((2, c, 5, 5))
         gy = rng.standard_normal((2, c, 5, 5))
-        layer.forward(x)
+        layer.forward(x, grad=True)
         layer.backward(gy)
         a = np.where(x >= layer.thr[0].reshape(1, -1, 1, 1), 1.0, -1.0)
         ws = np.where(layer.w[0] >= 0, 1.0, -1.0)
@@ -191,7 +191,7 @@ class TestGradients:
         net = build(tiny_config(), seed=6, dtype=np.float64)
         x = np.random.default_rng(7).standard_normal((2, 1, 8, 8))
         net.zero_grads()
-        net.forward(x, training=True)
+        net.forward(x, training=True, grad=True)
         net.backward(np.zeros((2, 3)))
         assert all(np.all(g == 0) for _, g in net.named_grads())
 
