@@ -3,7 +3,10 @@
 Times six ops at a configurable geometry (default 56x56 resolution, 128
 input/output channels): full-precision and binary 3x3 regular convs,
 full-precision and binary 3x3 depth-wise convs, the dual binary depth-wise
-conv, and a residual add. Inputs are generated outside the timed region
+conv, and a residual add. The binary ops time what a binary layer's
+packed forward runs, conv_multi_dw with one branch (two for the dual op):
+the thresholding of the float input, the bit-packed conv, and one scaling
+pass into the input's dtype. Inputs are generated outside the timed region
 and outputs are consumed so nothing can be elided. Reported latency is the
 median over the timed repetitions with the interquartile range; only
 relative orderings are meaningful across machines.
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import BinaryConvWeights, ConvSpec, conv_binary, conv_float, conv_multi_dw
+from .kernels import BinaryConvWeights, ConvSpec, conv_float, conv_multi_dw
 from .tensor import pack
 
 OPS = ("float_conv", "binary_conv", "float_dw", "binary_dw", "dual_binary_dw", "residual_add")
@@ -59,11 +62,10 @@ def _make_workload(op: str, geometry, seed: int):
     wts = rng.standard_normal(spec.weight_shape()).astype(np.float32)
     if op in ("float_conv", "float_dw"):
         return lambda: conv_float(x, wts, spec)
-    beta = (np.abs(wts).mean(axis=(1, 2, 3))).astype(np.float64)
+    beta = np.abs(wts).mean(axis=(1, 2, 3)).astype(x.dtype)
     if op in ("binary_conv", "binary_dw"):
-        packed = BinaryConvWeights(pack(wts, 0.0), beta)
-        xb = pack(x, 0.0)
-        return lambda: conv_binary(xb, packed, spec)
+        bank = BinaryConvWeights(pack(wts, 0.0))
+        return lambda: conv_multi_dw(x, np.zeros((1, c)), bank, beta[None], spec)
     if op == "dual_binary_dw":
         w2 = rng.standard_normal(spec.weight_shape()).astype(np.float32)
         bank = BinaryConvWeights(pack(np.concatenate([wts, w2]), 0.0))

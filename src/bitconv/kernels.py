@@ -23,16 +23,19 @@ Two families share one geometry descriptor (ConvSpec):
   kernel against.
 
 * bit-packed binary kernels -- the multiply-accumulate work runs as
-  XNOR + popcount on packed words, with an integer accumulator that is
-  scaled by the per-output-channel magnitude only at the very end, so the
-  result matches the float kernel on decoded +/-1 operands bit for bit.
+  XNOR + popcount on packed words into an integer accumulator, and
+  conv_binary returns those exact int32 counts, which equal the float
+  kernel on decoded +/-1 operands.
 
-The input's sign pattern comes as a BitTensor or as the bool array
-x >= threshold of tensor.sign_bits, which the kernels read as is, so an
-activation needs no pack and unpack round trip (FINN-style thresholding,
-Umuroglu et al. 2017). A multi-branch binary conv (conv_multi_dw, the
-packed forward of every binary layer) runs all its branches as one kernel
-call over their stacked bit arrays, against one bank of stacked filters.
+The input's sign pattern is the bool array x >= threshold of
+tensor.sign_bits, which the kernels read as is, so an activation needs no
+pack and unpack round trip (FINN-style thresholding, Umuroglu et al. 2017).
+A multi-branch binary conv (conv_multi_dw, the packed forward of every
+binary layer) runs all its branches as one kernel call over their stacked
+bit arrays, against one bank of stacked filters, and scales the counts by
+the per-output-channel magnitudes once, straight into its one output, as
+inference engines keep the integer accumulator and scale it once (daBNN,
+Zhang et al. 2019), so it matches the float path bit for bit.
 
 Padding semantics: pads are zeros, i.e. padded positions contribute 0 to
 the accumulator (not -1). The depth-wise kernel masks pad positions out of
@@ -136,7 +139,7 @@ class ConvSpec:
 
 @dataclass
 class BinaryConvWeights:
-    """Sign-packed filters plus the per-output-channel magnitude.
+    """Sign-packed filters.
 
     The kernel operand built from the filter bits (one per kernel kind:
     depth-wise window words, or the regular filter matrix and tap
@@ -145,18 +148,7 @@ class BinaryConvWeights:
     """
 
     packed: BitTensor
-    magnitude: np.ndarray = field(default=None)
     _operands: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        o = self.packed.shape[0]
-        if self.magnitude is None:
-            self.magnitude = np.ones(o, dtype=np.float64)
-        self.magnitude = np.broadcast_to(
-            np.asarray(self.magnitude, dtype=np.float64), (o,)
-        ).copy()
-        if np.any(self.magnitude < 0):
-            raise ValueError("magnitude must be >= 0")
 
     def operand(self, depthwise: bool):
         """The filter side of the depth-wise or regular kernel, built once."""
@@ -166,9 +158,9 @@ class BinaryConvWeights:
         return self._operands[depthwise]
 
 
-def binarize_weights(w, magnitude=None) -> BinaryConvWeights:
+def binarize_weights(w) -> BinaryConvWeights:
     """Pack the sign pattern of a real filter bank (threshold 0)."""
-    return BinaryConvWeights(pack(as_nchw(w), 0.0), magnitude)
+    return BinaryConvWeights(pack(as_nchw(w), 0.0))
 
 
 def _check_weight_shape(w: np.ndarray, spec: ConvSpec) -> None:
@@ -504,29 +496,26 @@ def _regular_conv_int(xbits: np.ndarray, operand, spec: ConvSpec) -> np.ndarray:
     return acc.reshape(n, o, ho, wo)
 
 
-def conv_binary(xb, w: BinaryConvWeights, spec: ConvSpec) -> np.ndarray:
-    """Binary convolution on packed operands.
+def conv_binary(xbits, w: BinaryConvWeights, spec: ConvSpec) -> np.ndarray:
+    """Binary convolution on packed filters: the exact int32 counts.
 
-    xb is the input's sign pattern: a BitTensor, or the bool (N, C, H, W)
-    array of tensor.sign_bits, read as is. Accumulates in 32-bit integers
-    via XNOR-popcount and applies the per-output-channel magnitude once at
-    the end, in float64, so the result equals the float kernel on decoded
-    operands exactly. Supports groups in {1, in_channels}. The filter side
-    of the kernel comes from w.operand, built on w's first use.
+    xbits is the bool (N, C, H, W) sign pattern of tensor.sign_bits, read as
+    is. Accumulates via XNOR-popcount in 32-bit integers, which equal the
+    float kernel on decoded +/-1 operands exactly; the caller scales them.
+    Supports groups in {1, in_channels}. The filter side of the kernel comes
+    from w.operand, built on w's first use.
     """
     if spec.groups != 1 and not spec.is_depthwise:
         raise ValueError(f"unsupported groups {spec.groups} (use 1 or depth-wise)")
-    xbits = unpack_bits(xb).view(bool) if isinstance(xb, BitTensor) else as_nchw(xb)
+    xbits = as_nchw(xbits)
     if xbits.dtype != bool:
-        raise ValueError(f"input bits must be a BitTensor or a bool array, got {xbits.dtype}")
+        raise ValueError(f"input bits must be a bool array, got {xbits.dtype}")
     if xbits.shape[1] != spec.in_channels:
         raise ValueError(f"input has {xbits.shape[1]} channels, spec wants {spec.in_channels}")
     if w.packed.shape != spec.weight_shape():
         raise ValueError(f"weights {w.packed.shape} do not match spec {spec.weight_shape()}")
     kernel = _dw_conv_int if spec.is_depthwise else _regular_conv_int
-    acc = kernel(xbits, w.operand(spec.is_depthwise), spec)
-    beta = w.magnitude
-    return acc * beta[None, :, None, None]
+    return kernel(xbits, w.operand(spec.is_depthwise), spec)
 
 
 def conv_multi_dw(x, thresholds, bank: BinaryConvWeights, magnitudes, spec: ConvSpec) -> np.ndarray:
@@ -534,11 +523,12 @@ def conv_multi_dw(x, thresholds, bank: BinaryConvWeights, magnitudes, spec: Conv
 
     Branch i convolves the sign bits x >= thresholds[i] (thresholds is
     (N, C)) with its O filters and scales them by magnitudes[i] (magnitudes
-    is (N, O)). bank holds all N*O filters, branch-major, at unit magnitude;
-    its kernel operand is built on first use and kept. The branches run as
-    one conv_binary over the N*C stacked channels of spec.stacked(N), whose
-    exact integer output is cast to the dtype of x and the magnitudes,
-    scaled in place, and summed over the branches in order.
+    is (N, O)). bank holds all N*O sign filters, branch-major; its kernel
+    operand is built on first use and kept. The branches run as one
+    conv_binary over the N*C stacked channels of spec.stacked(N). Each
+    branch's exact integer counts are multiplied by its magnitudes straight
+    into the dtype of x and the magnitudes, once, and summed over the
+    branches in order into one output.
     """
     thresholds = np.asarray(thresholds)
     magnitudes = np.asarray(magnitudes)
@@ -548,11 +538,14 @@ def conv_multi_dw(x, thresholds, bank: BinaryConvWeights, magnitudes, spec: Conv
     kspec = spec.stacked(n)
     if magnitudes.shape != (n, spec.out_channels):
         raise ValueError(f"magnitudes must be {(n, spec.out_channels)}, got {magnitudes.shape}")
-    z = conv_binary(sign_bits(x, thresholds), bank, kspec)
-    z = z.astype(np.result_type(x, magnitudes), copy=False)
-    z = z.reshape(z.shape[0], n, -1, *z.shape[2:])  # (batch, N, O, Ho, Wo)
-    z *= magnitudes[None, :, :, None, None]
-    return branch_sum(z)
+    counts = conv_binary(sign_bits(x, thresholds), bank, kspec)
+    counts = counts.reshape(counts.shape[0], n, -1, *counts.shape[2:])  # (batch, N, O, Ho, Wo)
+    m = magnitudes[:, :, None, None]
+    dtype = np.result_type(x, magnitudes)
+    out = np.multiply(counts[:, 0], m[0], dtype=dtype)
+    for i in range(1, n):
+        out += np.multiply(counts[:, i], m[i], dtype=dtype)
+    return out
 
 
 def branch_sum(t: np.ndarray) -> np.ndarray:

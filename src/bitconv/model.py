@@ -13,16 +13,20 @@ gradients of the continuous surrogate. A forward keeps what its backward
 reads only when called with grad=True (train.backward and
 train.batch_gradient do); any other forward keeps nothing, so evaluation
 and inference hold only the activations of the block being run, and a
-backward after it raises RuntimeError. A binary layer runs all its branches
-as one float conv over their stacked channels, through one quantizer path
-whose inputs are live, or replayed from a capture for curvature probes.
-A packed forward (forward(x, packed=True)) of a binary layer is
-kernels.conv_multi_dw: one bit-packed conv over the stacked sign bits of
-the input (tensor.sign_bits at each branch's thresholds) against the
-layer's one packed bank of N*C sign filters, on the same stacked spec as
-the float conv. Its integer counts are exact in the net dtype, so its
-tail (per-branch magnitude, then the branch sum) rounds as the float
-path's does, and the two match bit for bit in float32 and float64 nets.
+backward after it raises RuntimeError. Such a forward also allocates only
+the arrays it returns: the magnitude scaling, BN, PReLU and the pre-BN
+residual sum write in place into arrays their layer or block allocated,
+and no conv forward returns memory its layer keeps. A binary layer runs
+all its branches as one float conv over their stacked channels, through
+one quantizer path whose inputs are live, or replayed from a capture for
+curvature probes. A packed forward (forward(x, packed=True)) of a binary
+layer is kernels.conv_multi_dw: one bit-packed conv over the stacked sign
+bits of the input (tensor.sign_bits at each branch's thresholds) against
+the layer's one packed bank of N*C sign filters, on the same stacked spec
+as the float conv. Its int32 counts are exact in the net dtype, and each
+branch's counts are scaled by its magnitudes once, straight into the net
+dtype, then summed in branch order, so it rounds as the float path does
+and the two match bit for bit in float32 and float64 nets.
 The bank, with the kernel operand it builds on first use, is kept with a
 copy of the latent weights it was packed from and rebuilt only when the
 live weights differ from that copy, whatever changed them.
@@ -204,9 +208,12 @@ class MultiBinaryConv(Layer):
         a = a.reshape(x.shape[0], -1, *x.shape[2:])  # (batch, N*C, H, W)
         z = conv_float(a, ws, self.stacked_spec)
         z = z.reshape(x.shape[0], self.n, -1, *z.shape[2:])  # (batch, N, O, Ho, Wo)
-        self._cache = (x, a, ws, z) if grad else None
-        if self.weights_binary:
-            z = z * self.beta[None, :, :, None, None]
+        # z is kept for the magnitude gradient only: the output is z itself for
+        # N=1 with latent weights, and the block may add to it in place
+        self._cache = (x, a, ws, z if self.weights_binary else None) if grad else None
+        del a
+        if self.weights_binary:  # in place unless z is kept
+            z = np.multiply(z, self.beta[None, :, :, None, None], out=None if grad else z)
         return branch_sum(z)
 
     def backward(self, gy, input_grad=True):
@@ -218,7 +225,7 @@ class MultiBinaryConv(Layer):
             self.gbeta += np.einsum("nohw,nkohw->ko", gy, z)
             gz = gy[:, None] * self.beta[None, :, :, None, None]
         else:
-            gz = np.broadcast_to(gy[:, None], z.shape)
+            gz = np.broadcast_to(gy[:, None], (gy.shape[0], self.n, *gy.shape[1:]))
         gz = gz.reshape(a.shape[0], -1, *gy.shape[2:])
         gws = conv_float_grad_weight(a, gz, self.stacked_spec)
         if self.weights_binary:
@@ -292,7 +299,7 @@ class BatchNorm(Layer):
         xhat *= inv_std.reshape(1, -1, 1, 1)
         self._var = var
         self._cache = (xhat, inv_std) if grad else None
-        y = self.gamma.reshape(1, -1, 1, 1) * xhat
+        y = np.multiply(self.gamma.reshape(1, -1, 1, 1), xhat, out=None if grad else xhat)
         y += self.beta.reshape(1, -1, 1, 1)
         return y
 
@@ -343,13 +350,12 @@ class ShiftedPReLU(Layer):
 
     def forward(self, x, training=False, grad=False):
         # z, made min(z, 0) in place, the cache with grad. The cache is allocated
-        # first and the output last: other orders left the heap a few MB larger
-        # at peak in batch-16 inference (glibc heap layout)
+        # first, and the output last or, without grad, in place on it
         neg = x - self.shift_in.reshape(1, -1, 1, 1)
         self._cache = neg if grad else None
         pos = np.maximum(neg, 0)
         np.minimum(neg, 0, out=neg)
-        y = self.slope.reshape(1, -1, 1, 1) * neg
+        y = np.multiply(self.slope.reshape(1, -1, 1, 1), neg, out=None if grad else neg)
         y += pos
         y += self.shift_out.reshape(1, -1, 1, 1)
         return y
@@ -411,10 +417,13 @@ class Block:
             cache = (x.shape, False, False, True)
         else:
             r, pooled, broadcast = self._skip(x, z.shape[2:])
-            pre = self.topology is BlockTopology.PRE_BN_RESIDUAL
-            y0 = self.bn.forward(z + r if pre else z, training, grad)  # z + r is not kept alive
+            if self.topology is BlockTopology.PRE_BN_RESIDUAL:
+                z += r  # no conv forward returns memory its layer keeps
+            y0 = self.bn.forward(z, training, grad)
             y0 += r
+            del r
             cache = (x.shape, pooled, broadcast, False)
+        del z  # the activation runs with only its input alive
         self._cache = cache if grad else None
         return self.act.forward(y0, training, grad)
 

@@ -1,11 +1,13 @@
 """Randomized kernel-versus-oracle equivalence suite.
 
 Each case draws a geometry (channels <= 16, spatial <= 12, kernel 1 or 3,
-stride 1 or 2, padding 0 or 1), runs a bit-packed kernel, and checks it
-bit-for-bit against the float reference on the decoded +/-1 operands with
-the magnitude applied after the integer accumulation. The fault-injection
-mode flips pad bits to prove the suite is not vacuous: constructed tensors
-must keep their pads at zero, and results must be pad-independent.
+stride 1 or 2, padding 0 or 1) and runs conv_multi_dw, the packed forward
+of every binary layer, on a bank of one branch (binary_regular, binary_dw),
+two (dual_dw) or 1..4 (multi_dw). It checks the result bit-for-bit against
+the sum of the float reference on each branch's decoded +/-1 operands, with
+the magnitude applied after the accumulation. The fault-injection mode
+flips pad bits of the bank to prove the suite is not vacuous: constructed
+tensors must keep their pads at zero, and results must be pad-independent.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import BinaryConvWeights, ConvSpec, conv_binary, conv_float, conv_multi_dw
+from .kernels import BinaryConvWeights, ConvSpec, conv_float, conv_multi_dw
 from .tensor import pack, unpack
 
 VARIANTS = ("binary_regular", "binary_dw", "dual_dw", "multi_dw")
@@ -46,63 +48,34 @@ def _random_spec(rng, depthwise: bool):
     return spec, h, w
 
 
-def _oracle_binary(xb, weights: BinaryConvWeights, spec: ConvSpec):
-    """Float conv on decoded operands, magnitude applied after accumulation."""
-    acc = conv_float(unpack(xb), unpack(weights.packed), spec)
-    return acc * weights.magnitude[None, :, None, None].astype(acc.dtype)
-
-
-def _corrupt_pads(bt):
-    if bt.pad_bits == 0:
-        return False
-    word = bt.words[..., -1]
-    high = np.uint64((1 << 63))
-    bt.words[..., -1] = word | high  # the last bit of a padded row is always pad
-    return True
-
-
-def _pad_fault(packed, variant, shape, spec, n_branches):
-    """Corrupt the pads of every packed operand. Returns the case's result if
-    it ends here (no pad bits, or the pad invariant caught the corruption),
-    else None: the kernel must then be pad-independent."""
-    if not any([_corrupt_pads(bt) for bt in packed]):
-        return CaseResult(variant, shape, spec, n_branches, True, "no pad bits to corrupt")
-    if not all(bt.pads_are_zero() for bt in packed):
-        return CaseResult(variant, shape, spec, n_branches, False, "pad invariant violated")
-    return None
+def _oracle_branch(x, thr, filters, beta, spec: ConvSpec):
+    """Float conv on the decoded +/-1 operands of one branch, magnitude
+    applied after the accumulation."""
+    return conv_float(unpack(pack(x, thr)), filters, spec) * beta[None, :, None, None]
 
 
 def run_case(variant: str, rng, corrupt_pad: bool = False) -> CaseResult:
+    """One conv_multi_dw case: binary_regular and binary_dw run one branch
+    (a regular or a depth-wise spec), dual_dw two, multi_dw 1..4."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     n = int(rng.integers(1, 4))
     spec, h, w = _random_spec(rng, depthwise=variant != "binary_regular")
     c = spec.in_channels
     x = rng.standard_normal((n, c, h, w))
-    if variant in ("binary_regular", "binary_dw"):
-        weights = BinaryConvWeights(pack(rng.standard_normal(spec.weight_shape()), 0.0),
-                                    rng.random(spec.out_channels) + 0.1)
-        xb = pack(x, 0.0)
-        if corrupt_pad and (fault := _pad_fault([xb, weights.packed], variant, x.shape, spec, 1)):
-            return fault
-        got = conv_binary(xb, weights, spec)
-        want = _oracle_binary(xb, weights, spec)
-        ok = np.array_equal(got, want)
-        return CaseResult(variant, x.shape, spec, 1, ok, "" if ok else "mismatch vs oracle")
-
-    if variant in ("dual_dw", "multi_dw"):
-        n_branches = 2 if variant == "dual_dw" else int(rng.integers(1, 5))
-        thr = rng.uniform(-0.5, 0.5, (n_branches, c))
-        beta = rng.random((n_branches, c)) + 0.1
-        bank = BinaryConvWeights(pack(rng.standard_normal(spec.stacked(n_branches).weight_shape()), 0.0))
-        if corrupt_pad and (fault := _pad_fault([bank.packed], variant, x.shape, spec, n_branches)):
-            return fault
-        got = conv_multi_dw(x, thr, bank, beta, spec)
-        filters = unpack(bank.packed).reshape(n_branches, *spec.weight_shape())
-        want = sum(_oracle_binary(pack(x, t), BinaryConvWeights(pack(f, 0.0), b), spec)
-                   for f, t, b in zip(filters, thr, beta))
-        ok = np.array_equal(got, want)
-        return CaseResult(variant, x.shape, spec, n_branches, ok, "" if ok else "mismatch vs oracle")
-
-    raise ValueError(f"unknown variant {variant!r}")
+    n_branches = int(rng.integers(1, 5)) if variant == "multi_dw" else 2 if variant == "dual_dw" else 1
+    thr = rng.uniform(-0.5, 0.5, (n_branches, c))
+    beta = rng.random((n_branches, spec.out_channels)) + 0.1
+    bank = BinaryConvWeights(pack(rng.standard_normal(spec.stacked(n_branches).weight_shape()), 0.0))
+    if corrupt_pad:  # a filter row holds kh*kw < 64 bits, so its last bit is a pad bit
+        bank.packed.words[..., -1] |= np.uint64(1 << 63)
+        if not bank.packed.pads_are_zero():
+            return CaseResult(variant, x.shape, spec, n_branches, False, "pad invariant violated")
+    got = conv_multi_dw(x, thr, bank, beta, spec)
+    filters = unpack(bank.packed).reshape(n_branches, *spec.weight_shape())
+    want = sum(_oracle_branch(x, t, f, b, spec) for f, t, b in zip(filters, thr, beta))
+    ok = np.array_equal(got, want)
+    return CaseResult(variant, x.shape, spec, n_branches, ok, "" if ok else "mismatch vs oracle")
 
 
 def run_suite(cases_per_variant: int = 1000, seed: int = 0,

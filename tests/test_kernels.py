@@ -219,13 +219,20 @@ class TestDepthwiseFloatBlocks:
         assert K.conv_float_grad_weight(x, x, spec).dtype == dtype
 
 
+def unscaled_oracle(bits, bw, spec):
+    """Float conv on the decoded +/-1 operands: what conv_binary's counts equal."""
+    return K.conv_float(np.where(bits, 1.0, -1.0), T.unpack(bw.packed), spec)
+
+
 class TestConvBinary:
     def test_all_agree_depthwise(self):
         spec = K.ConvSpec(2, 2, (3, 3), groups=2)
         x = np.ones((1, 2, 5, 5))
         beta = np.array([0.5, 2.0])
-        w = K.binarize_weights(np.ones(spec.weight_shape()), beta)
-        out = K.conv_binary(T.pack(x, 0.0), w, spec)
+        w = K.binarize_weights(np.ones(spec.weight_shape()))
+        counts = K.conv_binary(T.sign_bits(x), w, spec)
+        assert counts.dtype == np.int32 and np.all(counts == 9)
+        out = K.conv_multi_dw(x, np.zeros((1, 2)), w, beta[None], spec)
         assert np.all(out[0, 0] == 9 * 0.5)
         assert np.all(out[0, 1] == 9 * 2.0)
 
@@ -234,72 +241,60 @@ class TestConvBinary:
         spec = K.ConvSpec(1, 1, (3, 3), groups=1)
         x = rng.choice([-1.0, 1.0], (1, 1, 5, 5))
         w = x[:, :, 1:4, 1:4].copy()  # filter equals the center window patch
-        bw = K.binarize_weights(w, np.array([1.0]))
-        out = K.conv_binary(T.pack(x, 0.0), bw, spec)
-        assert out[0, 0, 1, 1] == 9.0
+        out = K.conv_binary(T.sign_bits(x), K.binarize_weights(w), spec)
+        assert out[0, 0, 1, 1] == 9
 
     def test_strided_padded_case_bit_exact(self):
         # 3x3 holds its window in uint16, 5x5 in uint32, 8x8 fills a uint64
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((2, 8, 10, 10))
-        xb = T.pack(x, 0.0)
+        bits = T.sign_bits(rng.standard_normal((2, 8, 10, 10)))
         for k in (3, 5, 8):
             spec = K.ConvSpec(8, 8, (k, k), stride=2, padding=1, groups=8)
-            bw = K.binarize_weights(rng.standard_normal(spec.weight_shape()), rng.random(8))
-            got = K.conv_binary(xb, bw, spec)
-            want = K.conv_float(T.unpack(xb), T.unpack(bw.packed), spec) * bw.magnitude.reshape(1, -1, 1, 1)
-            assert np.array_equal(got, want), k
+            bw = K.binarize_weights(rng.standard_normal(spec.weight_shape()))
+            got = K.conv_binary(bits, bw, spec)
+            assert np.array_equal(got, unscaled_oracle(bits, bw, spec)), k
 
     def test_padding_contributes_zero_not_minus_one(self):
         # an all-(+1) input against an all-(+1) filter: corner windows see
         # 4 live taps, so the count is 4, not 4 - 5 pads
         spec = K.ConvSpec(1, 1, (3, 3), stride=1, padding=1, groups=1)
         x = np.ones((1, 1, 3, 3))
-        bw = K.binarize_weights(np.ones(spec.weight_shape()), np.array([1.0]))
-        out = K.conv_binary(T.pack(x, 0.0), bw, spec)
-        assert out[0, 0, 0, 0] == 4.0
-        assert out[0, 0, 1, 1] == 9.0
+        bw = K.binarize_weights(np.ones(spec.weight_shape()))
+        out = K.conv_binary(T.sign_bits(x), bw, spec)
+        assert out[0, 0, 0, 0] == 4
+        assert out[0, 0, 1, 1] == 9
 
     def test_pad_bit_corruption_is_masked(self):
         rng = np.random.default_rng(3)
         spec = K.ConvSpec(4, 4, (3, 3), padding=1, groups=4)
-        x = rng.standard_normal((1, 4, 5, 5))
-        xb = T.pack(x, 0.0)
-        bw = K.binarize_weights(rng.standard_normal(spec.weight_shape()), rng.random(4))
-        want = K.conv_binary(xb, bw, spec)
-        bad = xb.copy()
-        bad.words[:, :, -1] |= ~T.payload_mask(bad.words_per_channel, bad.elems_per_channel)[-1]
+        bits = T.sign_bits(rng.standard_normal((1, 4, 5, 5)))
+        bw = K.binarize_weights(rng.standard_normal(spec.weight_shape()))
+        want = K.conv_binary(bits, bw, spec)
         bad_w = bw.packed.copy()
         bad_w.words[:, :, -1] |= ~T.payload_mask(bad_w.words_per_channel, bad_w.elems_per_channel)[-1]
-        got = K.conv_binary(bad, K.BinaryConvWeights(bad_w, bw.magnitude), spec)
+        got = K.conv_binary(bits, K.BinaryConvWeights(bad_w), spec)
         assert np.array_equal(got, want)
 
     def test_unsupported_groups(self):
         spec = K.ConvSpec(4, 8, (3, 3), groups=2)
-        x = T.pack(np.ones((1, 4, 5, 5)), 0.0)
-        bw = K.binarize_weights(np.ones(spec.weight_shape()), np.ones(8))
+        bits = T.sign_bits(np.ones((1, 4, 5, 5)))
+        bw = K.binarize_weights(np.ones(spec.weight_shape()))
         with pytest.raises(ValueError):
-            K.conv_binary(x, bw, spec)
+            K.conv_binary(bits, bw, spec)
 
     def test_channels_gt_64_regular(self):
         # channel packing spans multiple words and a partial payload word;
         # the padded 3x3 case also has dead taps to correct at the edges
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((1, 70, 4, 4))
-        xb = T.pack(x, 0.0)
+        bits = T.sign_bits(rng.standard_normal((1, 70, 4, 4)))
         for spec in (K.ConvSpec(70, 5, (1, 1)), K.ConvSpec(70, 5, (3, 3), stride=2, padding=1)):
-            bw = K.binarize_weights(rng.standard_normal(spec.weight_shape()), rng.random(5))
-            got = K.conv_binary(xb, bw, spec)
-            want = K.conv_float(T.unpack(xb), T.unpack(bw.packed), spec) * bw.magnitude.reshape(1, -1, 1, 1)
-            assert np.array_equal(got, want), spec
+            bw = K.binarize_weights(rng.standard_normal(spec.weight_shape()))
+            got = K.conv_binary(bits, bw, spec)
+            assert np.array_equal(got, unscaled_oracle(bits, bw, spec)), spec
 
 
 class TestKernelOperand:
     """Each BinaryConvWeights builds its kernel operand once and keeps it."""
-
-    @staticmethod
-    def oracle(xb, bw, spec):
-        return K.conv_float(T.unpack(xb), T.unpack(bw.packed), spec) * bw.magnitude.reshape(1, -1, 1, 1)
 
     def test_one_bank_serves_regular_and_depthwise(self):
         # a (8, 1, 3, 3) bank is a regular conv on one channel and a
@@ -307,26 +302,24 @@ class TestKernelOperand:
         rng = np.random.default_rng(12)
         regular = K.ConvSpec(1, 8, (3, 3), padding=1)
         depthwise = K.ConvSpec(8, 8, (3, 3), padding=1, groups=8)
-        x1 = T.pack(rng.standard_normal((2, 1, 6, 6)), 0.0)
-        x8 = T.pack(rng.standard_normal((2, 8, 6, 6)), 0.0)
+        x1 = T.sign_bits(rng.standard_normal((2, 1, 6, 6)))
+        x8 = T.sign_bits(rng.standard_normal((2, 8, 6, 6)))
         w = rng.standard_normal((8, 1, 3, 3))
-        beta = rng.random(8)
         for order in ((regular, depthwise), (depthwise, regular)):
-            bw = K.binarize_weights(w, beta)
+            bw = K.binarize_weights(w)
             for spec in order + order:
                 xb = x8 if spec.is_depthwise else x1
-                assert np.array_equal(K.conv_binary(xb, bw, spec), self.oracle(xb, bw, spec)), spec
+                assert np.array_equal(K.conv_binary(xb, bw, spec), unscaled_oracle(xb, bw, spec)), spec
 
     def test_reused_weights_match_fresh(self):
         rng = np.random.default_rng(13)
         w = rng.standard_normal((6, 4, 3, 3))
-        beta = rng.random(6)
         spec = K.ConvSpec(4, 6, (3, 3), stride=2, padding=1)
-        bw = K.binarize_weights(w, beta)
+        bw = K.binarize_weights(w)
         for _ in range(2):
-            xb = T.pack(rng.standard_normal((1, 4, 7, 7)), 0.0)
+            xb = T.sign_bits(rng.standard_normal((1, 4, 7, 7)))
             assert np.array_equal(K.conv_binary(xb, bw, spec),
-                                  K.conv_binary(xb, K.binarize_weights(w, beta), spec))
+                                  K.conv_binary(xb, K.binarize_weights(w), spec))
 
     def test_multi_builds_bank_operand_once(self):
         # two calls on one stacked bank build its kernel operand once
@@ -336,16 +329,18 @@ class TestKernelOperand:
         x = rng.standard_normal((2, c, 6, 6))
         thr, beta = rng.uniform(-0.3, 0.3, (2, c)), rng.random((2, c))
         bank = K.binarize_weights(rng.standard_normal(spec.stacked(2).weight_shape()))
+        words = bank.packed.words.copy()
         first = K.conv_multi_dw(x, thr, bank, beta, spec)
         operand = bank._operands[True]
         assert np.array_equal(K.conv_multi_dw(x, thr, bank, beta, spec), first)
         assert bank._operands[True] is operand
-        assert np.array_equal(bank.magnitude, np.ones(2 * c))
+        assert np.array_equal(bank.packed.words, words)
 
 
 class TestBitArrayEntry:
-    """conv_binary reads the bool array of tensor.sign_bits as it reads a
-    BitTensor, and conv_multi_dw runs its branches as one stacked call."""
+    """conv_binary reads the bool array of tensor.sign_bits, which decodes as
+    the BitTensor of the same pattern does, and conv_multi_dw runs its
+    branches as one stacked call."""
 
     @staticmethod
     def tied_input(rng, shape):
@@ -363,13 +358,14 @@ class TestBitArrayEntry:
         c = spec.in_channels
         x = self.tied_input(rng, (2, c, 9, 9))
         thr = rng.integers(-2, 3, c) * 0.25
-        bw = K.binarize_weights(rng.standard_normal(spec.weight_shape()), rng.random(spec.out_channels))
+        bw = K.binarize_weights(rng.standard_normal(spec.weight_shape()))
         bits = T.sign_bits(x, thr)
         assert bits.dtype == bool and bits.shape == x.shape
         got = K.conv_binary(bits, bw, spec)
-        assert np.array_equal(got, K.conv_binary(T.pack(x, thr), bw, spec))
+        assert got.dtype == np.int32
+        assert np.array_equal(got, K.conv_float(T.unpack(T.pack(x, thr)), T.unpack(bw.packed), spec))
         signs = np.where(x >= thr.reshape(1, -1, 1, 1), 1.0, -1.0)
-        want = K.conv_float(signs, T.unpack(bw.packed), spec) * bw.magnitude.reshape(1, -1, 1, 1)
+        want = K.conv_float(signs, T.unpack(bw.packed), spec)
         assert np.array_equal(got, want)
 
     def test_non_bool_array_rejected(self):
@@ -398,8 +394,9 @@ class TestBitArrayEntry:
         beta = rng.random((n, c)).astype(dtype)
         ws = rng.standard_normal((n, *spec.weight_shape()))
         want = None
-        for w, t, b in zip(ws, thr, beta):
-            y = K.conv_binary(T.pack(x, t), K.binarize_weights(w, b), spec).astype(dtype)
+        for w, t, b in zip(ws, thr, beta):  # scaled in float64, then cast
+            counts = K.conv_binary(T.sign_bits(x, t), K.binarize_weights(w), spec)
+            y = (counts * b.astype(np.float64).reshape(1, -1, 1, 1)).astype(dtype)
             want = y if want is None else want + y
         got = K.conv_multi_dw(x, thr, K.binarize_weights(np.concatenate(ws)), beta, spec)
         assert got.dtype == dtype
@@ -464,11 +461,10 @@ class TestDualAndMulti:
         x = rng.standard_normal((1, c, 6, 6))
         q = DualQuantParams(np.full(c, -0.2), np.full(c, 0.2), rng.random(c), np.zeros(c))
         ws = rng.standard_normal((2, *spec.weight_shape()))
-        w1 = K.binarize_weights(ws[0], q.beta1)
         bank = K.binarize_weights(np.concatenate(ws))
         got = K.conv_multi_dw(x, np.stack([q.alpha1, q.alpha2]), bank, np.stack([q.beta1, q.beta2]), spec)
-        want = K.conv_binary(T.pack(x, q.alpha1), w1, spec)
-        assert np.array_equal(got, want)
+        want = K.conv_binary(T.sign_bits(x, q.alpha1), K.binarize_weights(ws[0]), spec)
+        assert np.array_equal(got, want * q.beta1.reshape(1, -1, 1, 1))
 
     def test_1x1_kernel_equals_pointwise_ternarize(self):
         # with a 1x1 kernel and +1 filters, each output pixel is the
@@ -506,10 +502,9 @@ class TestDualAndMulti:
         x = rng.standard_normal((1, c, 6, 6))
         thr = rng.uniform(-0.3, 0.3, c)
         beta = rng.random(c)
-        w = rng.standard_normal(spec.weight_shape())
-        bw = K.binarize_weights(w, beta)
-        got = K.conv_multi_dw(x, thr[None], K.binarize_weights(w), beta[None], spec)
-        want = K.conv_binary(T.pack(x, thr), bw, spec)
+        w = K.binarize_weights(rng.standard_normal(spec.weight_shape()))
+        got = K.conv_multi_dw(x, thr[None], w, beta[None], spec)
+        want = K.conv_binary(T.sign_bits(x, thr), w, spec) * beta.reshape(1, -1, 1, 1)
         assert np.array_equal(got, want)
 
     def test_multi_n4_matches_four_branch_oracle(self):
@@ -545,9 +540,9 @@ class TestDualAndMulti:
         spec = K.ConvSpec(5, 3, (1, 1))
         x = rng.standard_normal((2, 5, 4, 4))
         thr, beta = rng.uniform(-0.3, 0.3, (1, 5)), rng.random((1, 3))
-        w = rng.standard_normal(spec.weight_shape())
-        got = K.conv_multi_dw(x, thr, K.binarize_weights(w), beta, spec)
-        assert np.array_equal(got, K.conv_binary(T.pack(x, thr[0]), K.binarize_weights(w, beta[0]), spec))
+        w = K.binarize_weights(rng.standard_normal(spec.weight_shape()))
+        got = K.conv_multi_dw(x, thr, w, beta, spec)
+        assert np.array_equal(got, K.conv_binary(T.sign_bits(x, thr[0]), w, spec) * beta.reshape(1, -1, 1, 1))
 
 
 class TestStructuralProperties:
@@ -564,8 +559,8 @@ class TestStructuralProperties:
         levels = set()
         for _ in range(40):
             x = rng.choice([-1.0, 1.0], (1, 1, 6, 6))
-            w = K.binarize_weights(rng.choice([-1.0, 1.0], spec.weight_shape()), beta)
-            out = K.conv_binary(T.pack(x, 0.0), w, spec)
+            w = K.binarize_weights(rng.choice([-1.0, 1.0], spec.weight_shape()))
+            out = K.conv_multi_dw(x, np.zeros((1, 1)), w, beta[None], spec)
             levels.update(np.round(out[:, :, 1:-1, 1:-1], 9).ravel().tolist())
         allowed = {round((2 * m - 9) * 0.75, 9) for m in range(10)}
         assert levels <= allowed

@@ -698,3 +698,68 @@ class TestBackwardState:
             peak = traced_peak(lambda: net.forward(x, **kw))
             assert peak < grad_peak / 2, (kw, peak, grad_peak)
             assert batch_arrays(net, 16) == [], kw
+
+    def test_inference_forwards_allocate_only_what_they_return(self):
+        """At batch 16 (float64 ModelConfig()), the packed forward peaks at no
+        more than 20 MiB traced and the eval forward at no more than 24 MiB:
+        BN, PReLU, the magnitude scaling and the pre-BN residual sum work in
+        place, and the binary conv scales its integer counts once."""
+        net = M.build(M.ModelConfig(), seed=0, dtype=np.float64)
+        x = np.random.default_rng(0).standard_normal((16, *net.config.input_shape))
+        net.forward(x[:1], packed=True)  # packs the banks, builds the kernel tables
+        mib = 1 << 20
+        packed = traced_peak(lambda: net.forward(x, packed=True))
+        assert packed <= 20 * mib, packed / mib
+        plain = traced_peak(lambda: net.forward(x))
+        assert plain <= 24 * mib, plain / mib
+
+
+def arrays_in(value):
+    """The arrays in a kept value: an array, a tuple, list or dict of them,
+    or a BinaryConvWeights with its packed words and kernel operands."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, K.BinaryConvWeights):
+        return [value.packed.words, *arrays_in(list(value._operands.values()))]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in arrays_in(v)]
+    return []
+
+
+# (layer, packed, grad, freeze_mode); "MultiBinaryConv1 latent" runs the latent weights
+ALIASING_CASES = (
+    [(kind, False, grad, None) for kind in ("FloatConv dw", "FloatConv pw") for grad in (False, True)]
+    + [(kind, False, grad, mode) for kind in ("MultiBinaryConv1", "MultiBinaryConv2")
+       for grad in (False, True) for mode in (None, "capture", "use")]
+    + [(kind, True, False, None) for kind in ("MultiBinaryConv1", "MultiBinaryConv2")]
+    + [("MultiBinaryConv1 latent", False, True, None)]
+)
+
+
+class TestConvOutputOwnership:
+    """Block.forward adds the pre-BN residual in place into the conv output,
+    which is safe only if no conv forward returns memory its layer keeps."""
+
+    @pytest.mark.parametrize("kind,packed,grad,mode", ALIASING_CASES)
+    def test_output_shares_no_memory_with_kept_state(self, kind, packed, grad, mode):
+        rng = np.random.default_rng(21)
+        if kind.startswith("FloatConv"):
+            spec = (ConvSpec(6, 6, (3, 3), padding=1, groups=6) if kind.endswith("dw")
+                    else ConvSpec(6, 10, (1, 1)))
+            layer = M.FloatConv("conv", spec, rng, np.float64)
+            x = rng.standard_normal((5, 6, 7, 7))
+        else:
+            n = int(kind[len("MultiBinaryConv")])
+            layer, x, _ = make_layer(n, "pw" if n == 1 else "dw", 1, np.float64)
+            layer.weights_binary = not kind.endswith("latent")
+        if mode == "use":
+            layer.freeze_mode = "capture"
+            layer.forward(x)
+            x = x + 0.01
+        layer.freeze_mode = mode
+        y = layer.forward(x, packed=packed, grad=grad)
+        kept = arrays_in([layer._cache, getattr(layer, "_frozen", None), getattr(layer, "_packed", None)])
+        assert kept or not (grad or packed or mode)
+        assert not any(np.shares_memory(y, a) for a in kept)
