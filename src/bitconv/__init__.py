@@ -11,6 +11,8 @@ A from-scratch numpy library with five capability groups:
 * train      -- quantization-aware trainer and synthetic data
 * analysis   -- cost model, Jacobian/condition lab, Hessian top-k, landscapes
 * bench      -- single-threaded latency micro-benchmarks
+
+Importing the package pins glibc's heap policy (runtime.pin_heap_policy).
 """
 
 from .tensor import BitTensor, pack, unpack, xnor_popcount_dot
@@ -25,6 +27,9 @@ from .train import TrainConfig, Dataset, TrainReport, backward, gen_synthetic
 from .analysis import (CostReport, ConditionReport, count_ops, jacobian_of_block,
                        condition_numbers, hessian_topk, landscape_grid)
 from .bench import BenchResult, bench_op, bench_suite
+from .runtime import pin_heap_policy
+
+pin_heap_policy()
 
 __version__ = "0.1.0"
 

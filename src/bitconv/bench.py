@@ -9,7 +9,8 @@ the thresholding of the float input, the bit-packed conv, and one scaling
 pass into the input's dtype. Inputs are generated outside the timed region
 and outputs are consumed so nothing can be elided. Reported latency is the
 median over the timed repetitions with the interquartile range; only
-relative orderings are meaningful across machines.
+relative orderings are meaningful across machines. Each result also
+carries the median count of minor page faults per timed call.
 
 One op can also be timed on the inputs of several seeds at once: each
 repetition runs every seed's workload in turn, so a change of host speed
@@ -20,6 +21,7 @@ their inputs. A single-seed run is the same loop over one workload.
 from __future__ import annotations
 
 import csv
+import resource
 import time
 from dataclasses import dataclass
 
@@ -40,11 +42,12 @@ class BenchResult:
     reps: int
     warmup: int
     seed: int = 0
+    faults: int = 0  # median minor page faults per timed call
 
     def csv_row(self):
         h, w, c = self.geometry
         return [self.op, f"{h}x{w}:{c}", f"{self.median_ms:.4f}", f"{self.iqr_ms:.4f}",
-                self.reps, self.warmup]
+                self.reps, self.warmup, self.faults]
 
 
 def _make_workload(op: str, geometry, seed: int):
@@ -89,21 +92,27 @@ def bench_interleaved(op: str, seeds, geometry=(56, 56, 128), reps: int = 30,
     fns = [_make_workload(op, geometry, seed) for seed in seeds]
     sink = 0.0
     times = np.empty((reps, len(fns)), dtype=np.float64)
+    faults = np.empty((reps, len(fns)), dtype=np.int64)
     for i in range(warmup + reps):
         for j, fn in enumerate(fns):
+            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter_ns()
             out = fn()
             t1 = time.perf_counter_ns()
+            f1 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             sink += float(np.asarray(out).ravel()[0])  # consume output
             # release it before the next call, so that every call, whichever
             # seed ran before it, starts from the same heap
             del out
             if i >= warmup:
                 times[i - warmup, j] = (t1 - t0) / 1e6
+                faults[i - warmup, j] = f1 - f0
     if not np.isfinite(sink):  # pragma: no cover
         raise RuntimeError("benchmark workload produced non-finite output")
     q1, med, q3 = np.percentile(times, [25, 50, 75], axis=0)
-    return [BenchResult(op, tuple(geometry), float(med[j]), float(q3[j] - q1[j]), reps, warmup, seed)
+    med_faults = np.percentile(faults, 50, axis=0, method="lower")  # a count some call made
+    return [BenchResult(op, tuple(geometry), float(med[j]), float(q3[j] - q1[j]), reps, warmup, seed,
+                        int(med_faults[j]))
             for j, seed in enumerate(seeds)]
 
 
@@ -125,6 +134,6 @@ def bench_suite(geometry=(56, 56, 128), reps: int = 30, warmup: int = 5,
 def write_latency_csv(path, results) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["op", "geometry", "median_ms", "iqr_ms", "reps", "warmup"])
+        w.writerow(["op", "geometry", "median_ms", "iqr_ms", "reps", "warmup", "faults"])
         for r in results:
             w.writerow(r.csv_row())

@@ -11,15 +11,17 @@ Every layer implements its own backward pass; quantizers use the clipped
 straight-through estimator and the magnitudes/thresholds receive the
 gradients of the continuous surrogate. A forward keeps what its backward
 reads only when called with grad=True (train.backward and
-train.batch_gradient do); any other forward keeps nothing, so evaluation
-and inference hold only the activations of the block being run, and a
-backward after it raises RuntimeError. Such a forward also allocates only
-the arrays it returns: the magnitude scaling, BN, PReLU and the pre-BN
-residual sum write in place into arrays their layer or block allocated,
-and no conv forward returns memory its layer keeps. A binary layer runs
-all its branches as one float conv over their stacked channels, through
-one quantizer path whose inputs are live, or replayed from a capture for
-curvature probes. A packed forward (forward(x, packed=True)) of a binary
+train.batch_gradient do), and only until that backward: the backward
+takes the state, so it is freed as each layer's backward returns, and a
+second backward needs a new forward. Any other forward keeps nothing, so
+evaluation and inference hold only the activations of the block being
+run, and a backward after it raises RuntimeError. Such a forward also
+allocates only the arrays it returns: the magnitude scaling, BN, PReLU
+and the pre-BN residual sum write in place into arrays their layer or
+block allocated, and no conv forward returns memory its layer keeps. A
+binary layer runs all its branches as one float conv over their stacked
+channels, through one quantizer path whose inputs are live, or replayed
+from a capture for curvature probes. A packed forward (forward(x, packed=True)) of a binary
 layer is kernels.conv_multi_dw: one bit-packed conv over the stacked sign
 bits of the input (tensor.sign_bits at each branch's thresholds) against
 the layer's one packed bank of N*C sign filters, on the same stacked spec
@@ -81,11 +83,13 @@ class Layer:
         pass
 
 
-def _kept(layer):
-    """The state layer's last forward kept for its backward."""
-    if layer._cache is None:
+def _take(layer):
+    """The state layer's last forward kept for its backward, taken from the
+    layer: it is freed when that backward returns."""
+    cache, layer._cache = layer._cache, None
+    if cache is None:
         raise RuntimeError(f"{layer.name}: backward needs a forward with grad=True first")
-    return layer._cache
+    return cache
 
 
 class FloatConv(Layer):
@@ -109,7 +113,7 @@ class FloatConv(Layer):
 
     def backward(self, gy, input_grad=True):
         """The input gradient, or None without input_grad (the weight gradient only)."""
-        x = _kept(self)
+        x = _take(self)
         self.gw += conv_float_grad_weight(x, gy, self.spec)
         return conv_float_grad_input(gy, self.w, self.spec, x.shape[2:]) if input_grad else None
 
@@ -218,7 +222,7 @@ class MultiBinaryConv(Layer):
 
     def backward(self, gy, input_grad=True):
         """The input gradient, or None without input_grad (the parameter gradients only)."""
-        x, a, ws, z = _kept(self)
+        x, a, ws, z = _take(self)
         fz = self._frozen if self.freeze_mode == "use" else None
         mask_x, mask_w = self._clip_masks(x) if fz is None else (fz["mask_x"], fz["mask_w"])
         if self.weights_binary:
@@ -305,7 +309,7 @@ class BatchNorm(Layer):
 
     def backward(self, gy, gy_sum=None):
         """The input gradient; gy_sum is gy.sum(axis=(0, 2, 3)) if the caller has it."""
-        xhat, inv_std = _kept(self)
+        xhat, inv_std = _take(self)
         self.gbeta += gy.sum(axis=(0, 2, 3)) if gy_sum is None else gy_sum
         self.ggamma += np.einsum("nchw,nchw->c", gy, xhat)
         g = gy * self.gamma.reshape(1, -1, 1, 1)  # gxhat, then the input gradient in place
@@ -363,7 +367,7 @@ class ShiftedPReLU(Layer):
     def backward(self, gy):
         """The input gradient. Its per-channel sum, which gshift_in takes, is
         kept as grad_sum: in a block, the BN below takes it as its gbeta."""
-        neg = _kept(self)
+        neg = _take(self)
         self.gshift_out += gy.sum(axis=(0, 2, 3))
         self.gslope += np.einsum("nchw,nchw->c", gy, neg)
         # dz = slope where z < 0, else 1, built by arithmetic on the 0/1 pattern z >= 0:
@@ -430,7 +434,7 @@ class Block:
     def backward(self, gy, input_grad=True):
         """The input gradient, or None without input_grad: the sublayers'
         parameter gradients only, with no conv input gradient or skip path."""
-        x_shape, pooled, broadcast, no_skip = _kept(self)
+        x_shape, pooled, broadcast, no_skip = _take(self)
         g0 = self.act.backward(gy)
         gz = self.bn.backward(g0, self.act.grad_sum)
         gx = self.conv.backward(gz, input_grad)
@@ -466,7 +470,7 @@ class GlobalAvgPool(Layer):
         return x.mean(axis=(2, 3))
 
     def backward(self, gy):
-        h, w = _kept(self)
+        h, w = _take(self)
         return np.broadcast_to(gy[:, :, None, None], gy.shape + (h, w)).copy() / (h * w)
 
 
@@ -489,7 +493,7 @@ class Dense(Layer):
         return x @ self.w.T + self.b
 
     def backward(self, gy):
-        self.gw += gy.T @ _kept(self)
+        self.gw += gy.T @ _take(self)
         self.gb += gy.sum(axis=0)
         return gy @ self.w
 
@@ -576,10 +580,10 @@ class Network:
     # -- forward / backward --
 
     def forward(self, x, training=False, packed=False, grad=False):
-        """The logits. With grad every layer keeps what its backward reads;
-        without it no layer keeps anything, and a backward raises
-        RuntimeError. A packed forward has no backward, so packed with grad
-        raises ValueError."""
+        """The logits. With grad every layer keeps what its backward reads,
+        until that backward takes it; without it no layer keeps anything,
+        and a backward raises RuntimeError. A packed forward has no
+        backward, so packed with grad raises ValueError."""
         if packed and grad:
             raise ValueError("a packed forward has no backward: grad must be False")
         y = np.asarray(x, dtype=self.dtype)
@@ -592,8 +596,10 @@ class Network:
 
     def backward(self, dlogits):
         """Accumulate every parameter gradient of the last forward, which must
-        have been run with grad=True. Returns None: the first item stops at
-        its parameter gradients, since no caller reads the input gradient."""
+        have been run with grad=True. Each layer's backward frees the state
+        its forward kept, so a second backward raises RuntimeError until a
+        new forward. Returns None: the first item stops at its parameter
+        gradients, since no caller reads the input gradient."""
         g = dlogits
         for item in reversed(self.items[1:]):
             g = item.backward(g)

@@ -18,6 +18,11 @@ class TestBenchOp:
             r = bench_op(op, geometry=(8, 8, 8), reps=3, warmup=1)
             assert r.op == op and r.median_ms > 0
 
+    def test_faults_are_nonnegative_counts(self):
+        for op in OPS:
+            r = bench_op(op, geometry=(8, 8, 8), reps=3, warmup=1)
+            assert type(r.faults) is int and r.faults >= 0, (op, r.faults)
+
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError):
             bench_op("winograd", geometry=(8, 8, 8))
@@ -37,7 +42,7 @@ class TestBenchSuite:
         results = bench_suite(geometry=(8, 8, 8), reps=3, warmup=1, out_path=path)
         assert len(results) == 6
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "op,geometry,median_ms,iqr_ms,reps,warmup"
+        assert lines[0] == "op,geometry,median_ms,iqr_ms,reps,warmup,faults"
         assert len(lines) == 7
         assert all("8x8:8" in line for line in lines[1:])
 

@@ -9,11 +9,11 @@ from bitconv import kernels as K
 from bitconv import model as M
 from bitconv import tensor as T
 from bitconv.quantize import ste_grad_sign
-from bitconv.analysis import count_ops
+from bitconv.analysis import count_ops, hessian_topk
 from bitconv.kernels import ConvSpec
 from bitconv.layers import BlockTopology
-from bitconv.train import (ABLATION_NAMES, SGD, TrainConfig, ablation_config, batch_gradient,
-                           gen_synthetic, train)
+from bitconv.train import (ABLATION_NAMES, SGD, TrainConfig, ablation_config, backward, batch_gradient,
+                           gen_synthetic, softmax_cross_entropy, train)
 
 
 def small_config(**kw):
@@ -684,6 +684,38 @@ class TestBackwardState:
         batch_gradient(net, batch)
         stem = net.items[0].conv.spec
         assert specs and stem not in specs
+
+    @staticmethod
+    def holding(net, *attrs):
+        """(layer, attribute) of every block or layer still holding one of attrs."""
+        layers = [*net.items, *(layer for _, layer in net._walk())]
+        return [(layer.name, a) for layer in layers for a in attrs if getattr(layer, a, None) is not None]
+
+    def test_backward_frees_the_state_it_read(self):
+        net = M.build(ablation_config("prebn_dual", classes=3), seed=0, dtype=np.float64)
+        rng = np.random.default_rng(0)
+        batch = (rng.standard_normal((6, 1, 8, 8)), rng.integers(0, 3, 6))
+        backward(net, batch)
+        assert self.holding(net, "_cache") == []
+        batch_gradient(net, batch)
+        assert self.holding(net, "_cache") == []
+
+    def test_second_backward_needs_a_new_forward(self):
+        # reusing the state would add every gradient a second time
+        net = M.build(small_config(), seed=0, dtype=np.float64)
+        rng = np.random.default_rng(1)
+        x, y = rng.standard_normal((4, 1, 8, 8)), rng.integers(0, 3, 4)
+        _, dlogits, _ = softmax_cross_entropy(net.forward(x, training=True, grad=True), y)
+        net.backward(dlogits)
+        with pytest.raises(RuntimeError, match="backward"):
+            net.backward(dlogits)
+
+    def test_curvature_probe_leaves_no_state(self):
+        net = M.build(ablation_config("prebn_dual", classes=3), seed=0, dtype=np.float64)
+        rng = np.random.default_rng(2)
+        batch = (rng.standard_normal((6, 1, 8, 8)), rng.integers(0, 3, 6))
+        hessian_topk(net, batch, k=1, max_iter=3)
+        assert self.holding(net, "_cache", "_frozen") == []
 
     def test_inference_forwards_keep_no_backward_state(self):
         """At batch 16 (float64 ModelConfig()), the eval and the packed forward
