@@ -65,6 +65,7 @@ corrections) are likewise built once per input size and ConvSpec.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -528,7 +529,9 @@ def conv_multi_dw(x, thresholds, bank: BinaryConvWeights, magnitudes, spec: Conv
     conv_binary over the N*C stacked channels of spec.stacked(N). Each
     branch's exact integer counts are multiplied by its magnitudes straight
     into the dtype of x and the magnitudes, once, and summed over the
-    branches in order into one output.
+    branches in order into one output. Branches after the first are added
+    in blocks of one sample's output channels, so besides the int32 counts
+    and the output no temporary larger than a block exists at any batch.
     """
     thresholds = np.asarray(thresholds)
     magnitudes = np.asarray(magnitudes)
@@ -543,8 +546,9 @@ def conv_multi_dw(x, thresholds, bank: BinaryConvWeights, magnitudes, spec: Conv
     m = magnitudes[:, :, None, None]
     dtype = np.result_type(x, magnitudes)
     out = np.multiply(counts[:, 0], m[0], dtype=dtype)
-    for i in range(1, n):
-        out += np.multiply(counts[:, i], m[i], dtype=dtype)
+    rows = max(1, _BLOCK_ELEMS // out[0, 0].size)  # output channels per block
+    for b, r, i in itertools.product(range(out.shape[0]), range(0, out.shape[1], rows), range(1, n)):
+        out[b, r : r + rows] += np.multiply(counts[b, i, r : r + rows], m[i, r : r + rows], dtype=dtype)
     return out
 
 

@@ -13,22 +13,24 @@ gradients of the continuous surrogate. A forward keeps what its backward
 reads only when called with grad=True (train.backward and
 train.batch_gradient do), and only until that backward: the backward
 takes the state, so it is freed as each layer's backward returns, and a
-second backward needs a new forward. Any other forward keeps nothing, so
-evaluation and inference hold only the activations of the block being
-run, and a backward after it raises RuntimeError. Such a forward also
-allocates only the arrays it returns: the magnitude scaling, BN, PReLU
-and the pre-BN residual sum write in place into arrays their layer or
-block allocated, and no conv forward returns memory its layer keeps. A
-binary layer runs all its branches as one float conv over their stacked
-channels, through one quantizer path whose inputs are live, or replayed
-from a capture for curvature probes. A packed forward (forward(x, packed=True)) of a binary
-layer is kernels.conv_multi_dw: one bit-packed conv over the stacked sign
-bits of the input (tensor.sign_bits at each branch's thresholds) against
-the layer's one packed bank of N*C sign filters, on the same stacked spec
-as the float conv. Its int32 counts are exact in the net dtype, and each
-branch's counts are scaled by its magnitudes once, straight into the net
-dtype, then summed in branch order, so it rounds as the float path does
-and the two match bit for bit in float32 and float64 nets.
+second backward needs a new forward. Any other forward keeps nothing,
+and a backward after it raises RuntimeError. It holds the block input and
+two activation-sized arrays (and a packed conv's int32 counts): the
+magnitude scaling, the pre-BN residual sum, and BN and PReLU (on the
+arrays their block owns; a direct call leaves its input alone) write in
+place, no conv forward returns memory its layer keeps, and a live binary
+layer runs its branches one at a time on exact int8 +/-1 levels. Its
+grad, capture and replay forwards run all branches as one float conv
+over their stacked channels, through one quantizer path whose inputs are
+live, or replayed from a capture for curvature probes. A packed forward
+(forward(x, packed=True)) of a binary layer is kernels.conv_multi_dw:
+one bit-packed conv over the stacked sign bits of the input
+(tensor.sign_bits at each branch's thresholds) against the layer's one
+packed bank of N*C sign filters, on the same stacked spec as the float
+conv. Its int32 counts are exact in the net dtype, and each branch's
+counts are scaled by its magnitudes once, straight into the net dtype,
+then summed in branch order, so it rounds as the float path does and the
+two match bit for bit in float32 and float64 nets.
 The bank, with the kernel operand it builds on first use, is kept with a
 copy of the latent weights it was packed from and rebuilt only when the
 live weights differ from that copy, whatever changed them.
@@ -138,6 +140,7 @@ class MultiBinaryConv(Layer):
     masks come from the live values, or in "use" mode from the last
     "capture": each quantizer is then the affine map value + clip_mask *
     (arg - arg_at_capture), the path the straight-through backward follows.
+    A live forward without grad runs the branches one at a time instead.
     With packed=True the forward is conv_multi_dw on the live thresholds and
     magnitudes and the layer's packed bank, and there is no backward.
     """
@@ -186,12 +189,12 @@ class MultiBinaryConv(Layer):
 
     def forward(self, x, training=False, packed=False, grad=False):
         w = self.w.reshape(self.stacked_spec.weight_shape())  # (N*O, C/groups, kh, kw)
+        self._cache = None  # only the stacked forward with grad keeps state; a packed one has no backward
         if packed:
             if not self.weights_binary:
                 raise RuntimeError("packed forward requires binarized weights")
             if self._packed is None or not np.array_equal(self._packed[0], self.w):
                 self._packed = (self.w.copy(), BinaryConvWeights(T.pack(w, 0.0)))
-            self._cache = None  # a packed forward has no backward
             return conv_multi_dw(x, self.thr, self._packed[1], self.beta, self.spec)
         if self.freeze_mode == "use":  # value + clip_mask * (arg - arg_at_capture)
             if self._frozen is None:
@@ -202,8 +205,17 @@ class MultiBinaryConv(Layer):
             ws = (w - fz["w0"]) * fz["mask_w"]
             ws += fz["ws"]
         else:
-            a = (x[:, None] >= self.thr[None, :, :, None, None]).astype(x.dtype) * 2 - 1
             ws = (w >= 0).astype(w.dtype) * 2 - 1 if self.weights_binary else w
+            if not grad and self.freeze_mode is None:  # one branch at a time, on exact int8 levels
+                y = None
+                for i, wsi in enumerate(ws.reshape(self.n, *self.spec.weight_shape())):
+                    a = np.where(x >= self.thr[i, :, None, None], np.int8(1), np.int8(-1))
+                    z = conv_float(a, wsi, self.spec)
+                    if self.weights_binary:
+                        z *= self.beta[i, :, None, None]
+                    y = z if y is None else np.add(y, z, out=y)
+                return y
+            a = (x[:, None] >= self.thr[None, :, :, None, None]).astype(x.dtype) * 2 - 1
         if self.freeze_mode == "capture":
             if not self.weights_binary:
                 raise RuntimeError("quantization freezing requires binarized weights")
@@ -289,10 +301,10 @@ class BatchNorm(Layer):
         var = self.var if self._var is None else self._var
         return self.gamma / np.sqrt(var + self.eps)
 
-    def forward(self, x, training=False, grad=False):
+    def forward(self, x, training=False, grad=False, inplace=False):
         self._training = training
         mu = x.mean(axis=(0, 2, 3)) if training else self.mu
-        xhat = x - mu.reshape(1, -1, 1, 1)
+        xhat = np.subtract(x, mu.reshape(1, -1, 1, 1), out=x if inplace else None)
         if training:  # x.var(axis=(0, 2, 3)) bit for bit: its own steps, on the centered batch
             var = np.square(xhat).sum(axis=(0, 2, 3)) / (x.size // x.shape[1])
             self.mu += self.momentum * (mu - self.mu)
@@ -352,10 +364,10 @@ class ShiftedPReLU(Layer):
         return [(k, getattr(self, k), getattr(self, "g" + k), False)
                 for k in ("shift_in", "slope", "shift_out")]
 
-    def forward(self, x, training=False, grad=False):
+    def forward(self, x, training=False, grad=False, inplace=False):
         # z, made min(z, 0) in place, the cache with grad. The cache is allocated
-        # first, and the output last or, without grad, in place on it
-        neg = x - self.shift_in.reshape(1, -1, 1, 1)
+        # first (into x with inplace), and the output last or, without grad, in place on it
+        neg = np.subtract(x, self.shift_in.reshape(1, -1, 1, 1), out=x if inplace else None)
         self._cache = neg if grad else None
         pos = np.maximum(neg, 0)
         np.minimum(neg, 0, out=neg)
@@ -416,20 +428,21 @@ class Block:
         # are out of scope), regardless of the configured topology
         no_skip = (self.topology is BlockTopology.NO_RESIDUAL
                    or self.out_channels < self.in_channels)
+        # BN and the activation write into z and y0, which only this block holds
         if no_skip:
-            y0 = self.bn.forward(z, training, grad)
+            y0 = self.bn.forward(z, training, grad, inplace=True)
             cache = (x.shape, False, False, True)
         else:
             r, pooled, broadcast = self._skip(x, z.shape[2:])
             if self.topology is BlockTopology.PRE_BN_RESIDUAL:
                 z += r  # no conv forward returns memory its layer keeps
-            y0 = self.bn.forward(z, training, grad)
+            y0 = self.bn.forward(z, training, grad, inplace=True)
             y0 += r
             del r
             cache = (x.shape, pooled, broadcast, False)
         del z  # the activation runs with only its input alive
         self._cache = cache if grad else None
-        return self.act.forward(y0, training, grad)
+        return self.act.forward(y0, training, grad, inplace=True)
 
     def backward(self, gy, input_grad=True):
         """The input gradient, or None without input_grad: the sublayers'

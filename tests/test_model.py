@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from bitconv import kernels as K
+from bitconv import layers as L
 from bitconv import model as M
 from bitconv import tensor as T
+from bitconv import train as TR
 from bitconv.quantize import ste_grad_sign
 from bitconv.analysis import count_ops, hessian_topk
 from bitconv.kernels import ConvSpec
@@ -745,6 +747,36 @@ class TestBackwardState:
         plain = traced_peak(lambda: net.forward(x))
         assert plain <= 24 * mib, plain / mib
 
+    def test_inference_forwards_hold_the_input_and_two_activations(self):
+        """At batch 16 (float64 ModelConfig()), the packed forward peaks at no
+        more than 14 MiB traced and the eval forward at no more than 15 MiB:
+        BN and PReLU write into the arrays their block owns, the eval binary
+        layer runs one branch at a time on int8 levels, and conv_multi_dw
+        adds its later branches without a full-size temporary."""
+        net = M.build(M.ModelConfig(), seed=0, dtype=np.float64)
+        x = np.random.default_rng(0).standard_normal((16, *net.config.input_shape))
+        net.forward(x[:1], packed=True)  # packs the banks, builds the kernel tables
+        mib = 1 << 20
+        packed = traced_peak(lambda: net.forward(x, packed=True))
+        assert packed <= 14 * mib, packed / mib
+        plain = traced_peak(lambda: net.forward(x))
+        assert plain <= 15 * mib, plain / mib
+
+    def test_multi_dw_adds_branches_without_a_full_temporary(self):
+        """One batch-1 N=2 conv_multi_dw call (float64, 128 channels, 56x56):
+        besides its int32 counts and its output, nothing as large as half the
+        output is alive at its peak."""
+        c, hw = 128, 56
+        spec = ConvSpec(c, c, (3, 3), padding=1, groups=c)
+        rng = np.random.default_rng(4)
+        bank = K.BinaryConvWeights(T.pack(rng.standard_normal((2 * c, 1, 3, 3)), 0.0))
+        x = rng.standard_normal((1, c, hw, hw))
+        thr, mags = rng.uniform(-0.3, 0.3, (2, c)), rng.uniform(0.1, 1.0, (2, c))
+        out = K.conv_multi_dw(x, thr, bank, mags, spec)  # builds the bank operand
+        counts_bytes = 2 * out.size * np.dtype(np.int32).itemsize
+        peak = traced_peak(lambda: K.conv_multi_dw(x, thr, bank, mags, spec))
+        assert peak <= counts_bytes + out.nbytes + out.nbytes // 2, (peak, counts_bytes, out.nbytes)
+
 
 def arrays_in(value):
     """The arrays in a kept value: an array, a tuple, list or dict of them,
@@ -795,3 +827,83 @@ class TestConvOutputOwnership:
         kept = arrays_in([layer._cache, getattr(layer, "_frozen", None), getattr(layer, "_packed", None)])
         assert kept or not (grad or packed or mode)
         assert not any(np.shares_memory(y, a) for a in kept)
+
+
+BLOCK_CASES = ["dw", "dw stride 2", "pw widening"]
+
+
+def binary_block(kind, topology):
+    """A float64 block around a binary conv (N=2 depth-wise, or a widening
+    N=1 point-wise) and an input it takes."""
+    rng = np.random.default_rng(31)
+    c, o = 6, 10 if kind == "pw widening" else 6
+    spec = (ConvSpec(c, o, (1, 1)) if kind == "pw widening"
+            else ConvSpec(c, c, (3, 3), 2 if kind.endswith("2") else 1, 1, groups=c))
+    conv = M.MultiBinaryConv("conv", spec, 1 if kind == "pw widening" else 2, rng, np.float64)
+    bn, act = M.BatchNorm("bn", o, np.float64), M.ShiftedPReLU("act", o, np.float64)
+    bn.mu[...], bn.var[...] = rng.standard_normal(o), rng.uniform(0.5, 2.0, o)
+    return M.Block("block", conv, bn, act, topology, c, o), rng.standard_normal((3, c, 8, 8))
+
+
+class TestInPlaceOwnership:
+    """BN and PReLU write into their input only when a block hands them an
+    array it owns: a direct call, and a block's forward, leave their input
+    as it was."""
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("kind", ["BatchNorm", "ShiftedPReLU"])
+    def test_direct_call_leaves_its_input(self, kind, training):
+        layer, x = one_of_each_layer(kind)
+        x0 = x.copy()
+        y = layer.forward(x, training)
+        assert np.array_equal(x, x0) and not np.shares_memory(x, y)
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("packed", [False, True])
+    @pytest.mark.parametrize("topology", list(BlockTopology))
+    @pytest.mark.parametrize("kind", BLOCK_CASES)
+    def test_block_leaves_its_input(self, kind, topology, packed, training):
+        block, x = binary_block(kind, topology)
+        x0 = x.copy()
+        y = block.forward(x, training, packed)
+        assert np.array_equal(x, x0) and not np.shares_memory(x, y)
+
+    @pytest.mark.parametrize("topology", list(BlockTopology))
+    @pytest.mark.parametrize("kind", BLOCK_CASES)
+    def test_in_place_block_equals_composed_layers(self, kind, topology):
+        """Block.forward equals BN and PReLU called directly on copies."""
+        block, x = binary_block(kind, topology)
+        z = block.conv.forward(x)
+        r = None
+        if topology is not BlockTopology.NO_RESIDUAL:
+            r = x if kind == "dw" else L.avg_pool2(x) if kind.endswith("2") else L.broadcast_residual(x, 10)
+        if topology is BlockTopology.PRE_BN_RESIDUAL:
+            z = z + r
+        y0 = block.bn.forward(z)
+        want = block.act.forward(y0 if r is None else y0 + r)
+        assert np.array_equal(block.forward(x), want)
+
+
+class TestNonFiniteEval:
+    """The eval forward takes its binary levels from a comparison, not from
+    tensor.sign_bits, so a non-finite input gives non-finite logits and the
+    trainer, not the forward, reports it."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("n_convs", [1, 2, 3, 4])
+    def test_eval_forward_returns_non_finite_logits(self, n_convs, bad):
+        net = M.build(M.ModelConfig(n_convs=n_convs), seed=0, dtype=np.float64)
+        x = np.random.default_rng(n_convs).standard_normal((2, *net.config.input_shape))
+        x[0, 1, 5, 7] = bad
+        assert not np.all(np.isfinite(net.forward(x)))
+        with pytest.raises(ValueError, match="finite"):
+            T.sign_bits(x)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_evaluation_loss_diverges(self):
+        tr, va = gen_synthetic("blobs", 64, 3, seed=15)
+        va.x[0, 0, 3, 3] = np.nan
+        net = M.build(small_config(n_convs=2), seed=0, dtype=np.float64)
+        with pytest.raises(TR.DivergenceError):
+            train(net, (tr, va), TrainConfig(epochs=1, lr=1e-3, seed=5))
