@@ -10,8 +10,7 @@ pass into the input's dtype. Inputs are generated outside the timed region
 and outputs are consumed so nothing can be elided. Reported latency is the
 median over the timed repetitions with the interquartile range; only
 relative orderings are meaningful across machines. Each result also
-carries the median count of minor page faults per timed call, and the
-tracemalloc peak of one untimed call made after the timed ones.
+carries the median count of minor page faults per timed call.
 
 One op can also be timed on the inputs of several seeds at once: each
 repetition runs every seed's workload in turn, so a change of host speed
@@ -24,7 +23,6 @@ from __future__ import annotations
 import csv
 import resource
 import time
-import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +43,11 @@ class BenchResult:
     warmup: int
     seed: int = 0
     faults: int = 0  # median minor page faults per timed call
-    peak_mb: float = 0.0  # tracemalloc peak of one untimed call, MB
 
     def csv_row(self):
         h, w, c = self.geometry
         return [self.op, f"{h}x{w}:{c}", f"{self.median_ms:.4f}", f"{self.iqr_ms:.4f}",
-                self.reps, self.warmup, self.faults, f"{self.peak_mb:.3f}"]
+                self.reps, self.warmup, self.faults]
 
 
 def _make_workload(op: str, geometry, seed: int):
@@ -112,16 +109,10 @@ def bench_interleaved(op: str, seeds, geometry=(56, 56, 128), reps: int = 30,
                 faults[i - warmup, j] = f1 - f0
     if not np.isfinite(sink):  # pragma: no cover
         raise RuntimeError("benchmark workload produced non-finite output")
-    peaks = []
-    for fn in fns:  # one untimed call each, traced
-        tracemalloc.start()
-        fn()
-        peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
-        tracemalloc.stop()
     q1, med, q3 = np.percentile(times, [25, 50, 75], axis=0)
     med_faults = np.percentile(faults, 50, axis=0, method="lower")  # a count some call made
     return [BenchResult(op, tuple(geometry), float(med[j]), float(q3[j] - q1[j]), reps, warmup, seed,
-                        int(med_faults[j]), peaks[j])
+                        int(med_faults[j]))
             for j, seed in enumerate(seeds)]
 
 
@@ -143,6 +134,6 @@ def bench_suite(geometry=(56, 56, 128), reps: int = 30, warmup: int = 5,
 def write_latency_csv(path, results) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["op", "geometry", "median_ms", "iqr_ms", "reps", "warmup", "faults", "peak_mb"])
+        w.writerow(["op", "geometry", "median_ms", "iqr_ms", "reps", "warmup", "faults"])
         for r in results:
             w.writerow(r.csv_row())

@@ -188,8 +188,7 @@ def cmd_bench(args) -> int:
     results = bench.bench_suite(args.geometry, reps=args.reps, warmup=args.warmup,
                                 out_path=path, seed=args.seed)
     for r in results:
-        print(f"{r.op:16s} median {r.median_ms:9.3f} ms   iqr {r.iqr_ms:8.3f} ms   "
-              f"faults {r.faults:6d}   peak {r.peak_mb:8.3f} MB")
+        print(f"{r.op:16s} median {r.median_ms:9.3f} ms   iqr {r.iqr_ms:8.3f} ms   faults {r.faults:6d}")
     print(f"wrote {path}")
     return 0
 

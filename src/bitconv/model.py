@@ -17,17 +17,17 @@ second backward needs a new forward. Any other forward keeps nothing,
 and a backward after it raises RuntimeError. It holds the block input and
 two activation-sized arrays (and a packed conv's int32 counts): the
 magnitude scaling, the pre-BN residual sum, and BN and PReLU (on the
-arrays their block owns; a direct call leaves its input alone) write in
-place, no conv forward returns memory its layer keeps, and a live binary
-layer runs its branches one at a time on exact int8 +/-1 levels. Its
-grad, capture and replay forwards run all branches as one float conv
-over their stacked channels, through one quantizer path whose inputs are
-live, or replayed from a capture for curvature probes. A packed forward
-(forward(x, packed=True)) of a binary layer is kernels.conv_multi_dw:
-one bit-packed conv over the stacked sign bits of the input
-(tensor.sign_bits at each branch's thresholds) against the layer's one
-packed bank of N*C sign filters, on the same stacked spec as the float
-conv. Its int32 counts are exact in the net dtype, and each branch's
+conv and BN outputs their block owns: their forward consumes its input)
+write in place, no conv forward returns memory its layer keeps, and a
+live binary layer runs its branches one at a time on exact int8 +/-1
+levels. Its grad, capture and replay forwards run all branches as one
+float conv over their stacked channels, through one quantizer path whose
+inputs are live, or replayed from a capture for curvature probes. A
+packed forward (forward(x, packed=True)) of a binary layer is
+kernels.conv_multi_dw: one bit-packed conv over the stacked sign bits of
+the input (tensor.sign_bits at each branch's thresholds) against the
+layer's one packed bank of N*C sign filters, on the same stacked spec as
+the float conv. Its int32 counts are exact in the net dtype, and each branch's
 counts are scaled by its magnitudes once, straight into the net dtype,
 then summed in branch order, so it rounds as the float path does and the
 two match bit for bit in float32 and float64 nets.
@@ -273,7 +273,8 @@ class MultiBinaryConv(Layer):
 
 
 class BatchNorm(Layer):
-    """Batch normalization layer with running statistics buffers."""
+    """Batch normalization layer with running statistics buffers. Its
+    forward computes xhat in its input, which the caller gives up."""
 
     def __init__(self, name: str, channels: int, dtype=np.float32):
         self.name = name
@@ -301,10 +302,10 @@ class BatchNorm(Layer):
         var = self.var if self._var is None else self._var
         return self.gamma / np.sqrt(var + self.eps)
 
-    def forward(self, x, training=False, grad=False, inplace=False):
+    def forward(self, x, training=False, grad=False):
         self._training = training
         mu = x.mean(axis=(0, 2, 3)) if training else self.mu
-        xhat = np.subtract(x, mu.reshape(1, -1, 1, 1), out=x if inplace else None)
+        xhat = np.subtract(x, mu.reshape(1, -1, 1, 1), out=x)
         if training:  # x.var(axis=(0, 2, 3)) bit for bit: its own steps, on the centered batch
             var = np.square(xhat).sum(axis=(0, 2, 3)) / (x.size // x.shape[1])
             self.mu += self.momentum * (mu - self.mu)
@@ -346,7 +347,8 @@ class ShiftedPReLU(Layer):
     where(z >= 0, z, slope * z) + shift_out bit for bit, except that an
     output of exactly zero may carry the other sign (for instance z = -0
     and shift_out = -0 give +0). With grad, the forward keeps only
-    min(z, 0), the part the backward reads.
+    min(z, 0), the part the backward reads. The forward computes z in its
+    input, which the caller gives up.
     """
 
     def __init__(self, name: str, channels: int, dtype=np.float32):
@@ -364,10 +366,10 @@ class ShiftedPReLU(Layer):
         return [(k, getattr(self, k), getattr(self, "g" + k), False)
                 for k in ("shift_in", "slope", "shift_out")]
 
-    def forward(self, x, training=False, grad=False, inplace=False):
-        # z, made min(z, 0) in place, the cache with grad. The cache is allocated
-        # first (into x with inplace), and the output last or, without grad, in place on it
-        neg = np.subtract(x, self.shift_in.reshape(1, -1, 1, 1), out=x if inplace else None)
+    def forward(self, x, training=False, grad=False):
+        # z, made min(z, 0) in place, the cache with grad. The output is allocated
+        # last or, without grad, in place on it
+        neg = np.subtract(x, self.shift_in.reshape(1, -1, 1, 1), out=x)
         self._cache = neg if grad else None
         pos = np.maximum(neg, 0)
         np.minimum(neg, 0, out=neg)
@@ -430,19 +432,19 @@ class Block:
                    or self.out_channels < self.in_channels)
         # BN and the activation write into z and y0, which only this block holds
         if no_skip:
-            y0 = self.bn.forward(z, training, grad, inplace=True)
+            y0 = self.bn.forward(z, training, grad)
             cache = (x.shape, False, False, True)
         else:
             r, pooled, broadcast = self._skip(x, z.shape[2:])
             if self.topology is BlockTopology.PRE_BN_RESIDUAL:
                 z += r  # no conv forward returns memory its layer keeps
-            y0 = self.bn.forward(z, training, grad, inplace=True)
+            y0 = self.bn.forward(z, training, grad)
             y0 += r
             del r
             cache = (x.shape, pooled, broadcast, False)
         del z  # the activation runs with only its input alive
         self._cache = cache if grad else None
-        return self.act.forward(y0, training, grad, inplace=True)
+        return self.act.forward(y0, training, grad)
 
     def backward(self, gy, input_grad=True):
         """The input gradient, or None without input_grad: the sublayers'

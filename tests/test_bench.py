@@ -23,11 +23,6 @@ class TestBenchOp:
             r = bench_op(op, geometry=(8, 8, 8), reps=3, warmup=1)
             assert type(r.faults) is int and r.faults >= 0, (op, r.faults)
 
-    def test_peak_holds_at_least_the_output(self):
-        for op in OPS:
-            r = bench_op(op, geometry=(8, 8, 8), reps=3, warmup=1)
-            assert r.peak_mb * 1e6 >= 8 * 8 * 8 * 4, (op, r.peak_mb)  # one float32 output
-
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError):
             bench_op("winograd", geometry=(8, 8, 8))
@@ -47,7 +42,7 @@ class TestBenchSuite:
         results = bench_suite(geometry=(8, 8, 8), reps=3, warmup=1, out_path=path)
         assert len(results) == 6
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "op,geometry,median_ms,iqr_ms,reps,warmup,faults,peak_mb"
+        assert lines[0] == "op,geometry,median_ms,iqr_ms,reps,warmup,faults"
         assert len(lines) == 7
         assert all("8x8:8" in line for line in lines[1:])
 

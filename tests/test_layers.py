@@ -61,14 +61,14 @@ class TestBatchNorm:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 3, 4, 4))
         p = make_bn(3, 1.0)
-        assert np.allclose(p.forward(x), x, atol=1e-12)
+        assert np.allclose(p.forward(x.copy()), x, atol=1e-12)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 3, 5, 5))
         p = bn_layer(rng.random(3) + 0.5, rng.standard_normal(3),
                      rng.standard_normal(3), rng.random(3) + 0.1)
-        got = p.forward(x)
+        got = p.forward(x.copy())
         for c in range(3):
             a = p.gamma[c] / np.sqrt(p.var[c] + p.eps)
             want = a * (x[:, c] - p.mu[c]) + p.beta[c]
@@ -78,7 +78,7 @@ class TestBatchNorm:
         # zero batch variance drives the scaling factor to gamma/sqrt(eps)
         p = bn_layer(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
         x = np.full((4, 2, 3, 3), 1.7)
-        y = p.forward(x, training=True)
+        y = p.forward(x.copy(), training=True)
         assert np.all(np.isfinite(y))
         alpha = p.gamma / np.sqrt(x.var(axis=(0, 2, 3)) + p.eps)
         assert np.all(alpha > 100)  # the instability mechanism, not an overflow
@@ -89,7 +89,7 @@ class TestBatchNorm:
         x = rng.standard_normal((8, 2, 4, 4)) * 2 + 1
         p = bn_layer(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
         p.momentum = 0.1
-        p.forward(x, training=True)
+        p.forward(x.copy(), training=True)
         want_mu = 0.1 * x.mean(axis=(0, 2, 3))
         assert np.allclose(p.mu, want_mu, atol=1e-12)
 
@@ -98,7 +98,7 @@ class TestBatchNorm:
         x = rng.standard_normal((3, 2, 4, 4))
         p = bn_layer(rng.random(2) + 0.5, rng.standard_normal(2), np.zeros(2), np.ones(2))
         gy = rng.standard_normal(x.shape)
-        p.forward(x, training=True, grad=True)
+        p.forward(x.copy(), training=True, grad=True)
         gx = p.backward(gy)
         h = 1e-6
 
@@ -118,7 +118,7 @@ class TestBlocks:
         x = rng.standard_normal((1, 2, 4, 4))
         p = make_bn(2, 2.0)
         got = make_block(dw_conv(zero_w(2)), p, PRE)(x)
-        assert np.allclose(got, p.forward(x) + x, atol=1e-12)
+        assert np.allclose(got, p.forward(x.copy()) + x, atol=1e-12)
 
     def test_pre_bn_identity_conv(self):
         rng = np.random.default_rng(6)
@@ -247,13 +247,13 @@ class TestShiftedPReLU:
     def test_identity(self):
         rng = np.random.default_rng(16)
         x = rng.standard_normal((1, 2, 3, 3))
-        out = prelu_layer(np.zeros(2), np.ones(2), np.zeros(2)).forward(x)
+        out = prelu_layer(np.zeros(2), np.ones(2), np.zeros(2)).forward(x.copy())
         assert np.array_equal(out, x)
 
     def test_relu(self):
         rng = np.random.default_rng(17)
         x = rng.standard_normal((1, 2, 3, 3))
-        out = prelu_layer(np.zeros(2), np.zeros(2), np.zeros(2)).forward(x)
+        out = prelu_layer(np.zeros(2), np.zeros(2), np.zeros(2)).forward(x.copy())
         assert np.array_equal(out, np.maximum(x, 0))
 
     def test_matches_scalar_oracle(self):
@@ -261,7 +261,7 @@ class TestShiftedPReLU:
         c = 3
         x = rng.standard_normal((2, c, 4, 4))
         si, sl, so = rng.standard_normal(c), rng.random(c), rng.standard_normal(c)
-        got = prelu_layer(si, sl, so).forward(x)
+        got = prelu_layer(si, sl, so).forward(x.copy())
         z = x - si.reshape(1, c, 1, 1)
         want = np.where(z >= 0, z, sl.reshape(1, c, 1, 1) * z) + so.reshape(1, c, 1, 1)
         assert np.array_equal(got, want)
@@ -272,7 +272,7 @@ class TestShiftedPReLU:
         a zero output may differ."""
         x = np.array([0.0, -0.0, 1.5, -1.5, 5e-324, -5e-324]).reshape(1, 1, 2, 3)
         act = prelu_layer(np.zeros(1), np.full(1, 0.25), np.full(1, -0.0))
-        got = act.forward(x, grad=True)
+        got = act.forward(x.copy(), grad=True)
         want = np.where(x >= 0, x, 0.25 * x) + -0.0
         assert np.array_equal(got, want)
         assert np.all((np.signbit(got) == np.signbit(want)) | (want == 0))
@@ -314,7 +314,7 @@ class TestFormulasUnchanged:
             inv_std = 1.0 / np.sqrt(v + L.BN_EPS)
             xhat = (x - m.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
             want = gamma.reshape(1, -1, 1, 1) * xhat + beta.reshape(1, -1, 1, 1)
-            got = bn.forward(x, training, grad=True)
+            got = bn.forward(x.copy(), training, grad=True)
             assert got.dtype == dtype and np.array_equal(got, want)
             assert np.array_equal(bn._cache[0], xhat)
 
@@ -333,7 +333,7 @@ class TestFormulasUnchanged:
         gy = x[::-1] * g.reshape(1, -1, 1, 1)
         act = M.ShiftedPReLU("act", shape[1], dtype)
         act.shift_in[...], act.slope[...], act.shift_out[...] = shift_in, slope, shift_out
-        act.forward(x, grad=True)
+        act.forward(x.copy(), grad=True)
         gx = act.backward(gy)
         z = x - shift_in.reshape(1, -1, 1, 1)
         dz = np.where(z >= 0, 1.0, slope.reshape(1, -1, 1, 1)).astype(dtype)
@@ -349,7 +349,7 @@ class TestFormulasUnchanged:
         for training in (False, True):
             bn = M.BatchNorm("bn", shape[1], dtype)
             bn.gamma[...], bn.beta[...], bn.mu[...], bn.var[...] = gamma, beta, mu, var
-            bn.forward(x, training, grad=True)
+            bn.forward(x.copy(), training, grad=True)
             xhat, inv_std = bn._cache[:2]
             got = bn.backward(gy)
             gxhat = gy * gamma.reshape(1, -1, 1, 1)
