@@ -68,6 +68,9 @@ def cmd_cost(args) -> int:
 
 
 def cmd_condition(args) -> int:
+    for flag, alpha in (("--alpha-min", args.alpha_min), ("--alpha-max", args.alpha_max)):
+        if not alpha > 0:  # the sweep is log-spaced; --include-zero adds the alpha = 0 row
+            raise ValueError(f"{flag} must be > 0, got {alpha:g} (--include-zero adds alpha = 0)")
     out = _outdir(args)
     rng = np.random.default_rng(args.seed)
     j = analysis.random_dw_jacobian(args.channels, args.block_dim, rng)

@@ -550,11 +550,3 @@ def conv_multi_dw(x, thresholds, bank: BinaryConvWeights, magnitudes, spec: Conv
     for b, r, i in itertools.product(range(out.shape[0]), range(0, out.shape[1], rows), range(1, n)):
         out[b, r : r + rows] += np.multiply(counts[b, i, r : r + rows], m[i, r : r + rows], dtype=dtype)
     return out
-
-
-def branch_sum(t: np.ndarray) -> np.ndarray:
-    """Sum of a (batch, N, ...) array over its branch axis, in branch order."""
-    out = t[:, 0] if t.shape[1] == 1 else t[:, 0] + t[:, 1]
-    for i in range(2, t.shape[1]):
-        out += t[:, i]
-    return out

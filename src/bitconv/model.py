@@ -18,19 +18,18 @@ and a backward after it raises RuntimeError. It holds the block input and
 two activation-sized arrays (and a packed conv's int32 counts): the
 magnitude scaling, the pre-BN residual sum, and BN and PReLU (on the
 conv and BN outputs their block owns: their forward consumes its input)
-write in place, no conv forward returns memory its layer keeps, and a
-live binary layer runs its branches one at a time on exact int8 +/-1
-levels. Its grad, capture and replay forwards run all branches as one
-float conv over their stacked channels, through one quantizer path whose
-inputs are live, or replayed from a capture for curvature probes. A
-packed forward (forward(x, packed=True)) of a binary layer is
+write in place, and no conv forward returns memory its layer keeps. A
+binary layer has one float forward: its branches run one at a time, each
+a float conv of its +/-1 levels, live or (for curvature probes) replayed
+from a capture, and the levels are exact int8 where no gradient reads
+them. A packed forward (forward(x, packed=True)) of a binary layer is
 kernels.conv_multi_dw: one bit-packed conv over the stacked sign bits of
 the input (tensor.sign_bits at each branch's thresholds) against the
-layer's one packed bank of N*C sign filters, on the same stacked spec as
-the float conv. Its int32 counts are exact in the net dtype, and each branch's
-counts are scaled by its magnitudes once, straight into the net dtype,
-then summed in branch order, so it rounds as the float path does and the
-two match bit for bit in float32 and float64 nets.
+layer's one packed bank of N*C sign filters. Its int32 counts are exact
+in the net dtype, and each branch's counts are scaled by its magnitudes
+once, straight into the net dtype, then summed in branch order, so it
+rounds as the float forward does and the two match bit for bit in
+float32 and float64 nets.
 The bank, with the kernel operand it builds on first use, is kept with a
 copy of the latent weights it was packed from and rebuilt only when the
 live weights differ from that copy, whatever changed them.
@@ -40,6 +39,7 @@ from __future__ import annotations
 
 import io
 import json
+import numbers
 import zlib
 from dataclasses import dataclass, field
 
@@ -48,8 +48,8 @@ import numpy as np
 from . import layers as L
 from . import tensor as T
 from .analysis import LayerCost, conv_cost
-from .kernels import (BinaryConvWeights, ConvSpec, branch_sum, conv_float, conv_float_grad_input,
-                      conv_float_grad_weight, conv_multi_dw)
+from .kernels import (BinaryConvWeights, ConvSpec, conv_float, conv_float_grad_input, conv_float_grad_weight,
+                      conv_multi_dw)
 from .layers import BlockTopology
 
 STE_CLIP = 1.0
@@ -134,19 +134,21 @@ class MultiBinaryConv(Layer):
     (step one of two-step training) the latent weights are used directly
     and magnitudes are inactive; activations are always sign-quantized.
 
-    All branches run as one float conv over N*C stacked channels, with one
-    forward and backward for the quantizer modes (freeze_mode) None (live),
-    "capture" and "use". The +/-1 activations and weights and the clip
-    masks come from the live values, or in "use" mode from the last
-    "capture": each quantizer is then the affine map value + clip_mask *
-    (arg - arg_at_capture), the path the straight-through backward follows.
-    A live forward without grad runs the branches one at a time instead.
-    With packed=True the forward is conv_multi_dw on the live thresholds and
-    magnitudes and the layer's packed bank, and there is no backward.
+    The float forward runs the branches one at a time: branch i is one
+    conv_float of its +/-1 activations and weights, scaled by its magnitudes
+    and added into the output in branch order; the backward runs them one
+    at a time too. They serve every quantizer mode (freeze_mode): None
+    (live), "capture" and "use". The +/-1 levels and the clip masks come
+    from the live values, or in "use" mode from the last "capture": each
+    quantizer is then the affine map value + clip_mask * (arg -
+    arg_at_capture), the path the straight-through backward follows.
+    Without grad the live activation levels are exact int8. With packed=True
+    the forward is conv_multi_dw on the live thresholds and magnitudes and
+    the layer's packed bank, and there is no backward.
     """
 
     def __init__(self, name: str, spec: ConvSpec, n_branches: int, rng, dtype=np.float32):
-        self.stacked_spec = spec.stacked(n_branches)  # checks the branch count
+        spec.stacked(n_branches)  # checks the branch count
         self.name = name
         self.spec = spec
         self.n = n_branches
@@ -176,81 +178,81 @@ class MultiBinaryConv(Layer):
         return [(f"{k}{i}", getattr(self, k)[i], getattr(self, "g" + k)[i], k == "w")
                 for i in range(self.n) for k in ("w", "beta", "thr")]
 
-    def _clip_masks(self, x):
-        """Clip masks |arg| <= STE_CLIP of the live input per branch and of the
-        weights, as 0.0/1.0 floats: a float-by-float product skips the cast
-        loop a bool operand goes through, and gives the same values."""
-        d = x[:, None] - self.thr[None, :, :, None, None]
+    def _clip_masks(self, x, i):
+        """Clip masks |arg| <= STE_CLIP of the live input and weights of branch
+        i, as 0.0/1.0 floats: a float-by-float product skips the cast loop a
+        bool operand goes through, and gives the same values."""
+        d = np.subtract(x, self.thr[i, :, None, None])
         np.abs(d, out=d)
         np.less_equal(d, STE_CLIP, out=d)
-        mw = np.abs(self.w.reshape(self.stacked_spec.weight_shape()))
+        mw = np.abs(self.w[i])
         np.less_equal(mw, STE_CLIP, out=mw)
         return d, mw
 
     def forward(self, x, training=False, packed=False, grad=False):
-        w = self.w.reshape(self.stacked_spec.weight_shape())  # (N*O, C/groups, kh, kw)
-        self._cache = None  # only the stacked forward with grad keeps state; a packed one has no backward
+        self._cache = None  # only a forward with grad keeps state; a packed one has no backward
         if packed:
             if not self.weights_binary:
                 raise RuntimeError("packed forward requires binarized weights")
             if self._packed is None or not np.array_equal(self._packed[0], self.w):
-                self._packed = (self.w.copy(), BinaryConvWeights(T.pack(w, 0.0)))
+                bank = T.pack(self.w.reshape(-1, *self.w.shape[2:]), 0.0)  # (N*O, C/groups, kh, kw)
+                self._packed = (self.w.copy(), BinaryConvWeights(bank))
             return conv_multi_dw(x, self.thr, self._packed[1], self.beta, self.spec)
-        if self.freeze_mode == "use":  # value + clip_mask * (arg - arg_at_capture)
-            if self._frozen is None:
-                raise RuntimeError("no captured quantization decisions to replay")
-            fz = self._frozen
-            a = (x - fz["x0"])[:, None] * fz["mask_x"]
-            a += fz["a"]
-            ws = (w - fz["w0"]) * fz["mask_w"]
-            ws += fz["ws"]
-        else:
-            ws = (w >= 0).astype(w.dtype) * 2 - 1 if self.weights_binary else w
-            if not grad and self.freeze_mode is None:  # one branch at a time, on exact int8 levels
-                y = None
-                for i, wsi in enumerate(ws.reshape(self.n, *self.spec.weight_shape())):
-                    a = np.where(x >= self.thr[i, :, None, None], np.int8(1), np.int8(-1))
-                    z = conv_float(a, wsi, self.spec)
-                    if self.weights_binary:
-                        z *= self.beta[i, :, None, None]
-                    y = z if y is None else np.add(y, z, out=y)
-                return y
-            a = (x[:, None] >= self.thr[None, :, :, None, None]).astype(x.dtype) * 2 - 1
+        fz = self._frozen if self.freeze_mode == "use" else None
+        if self.freeze_mode == "use" and fz is None:
+            raise RuntimeError("no captured quantization decisions to replay")
         if self.freeze_mode == "capture":
             if not self.weights_binary:
                 raise RuntimeError("quantization freezing requires binarized weights")
-            mask_x, mask_w = self._clip_masks(x)
-            self._frozen = {"x0": x.copy(), "a": a, "ws": ws, "w0": w.copy(), "mask_x": mask_x, "mask_w": mask_w}
-        a = a.reshape(x.shape[0], -1, *x.shape[2:])  # (batch, N*C, H, W)
-        z = conv_float(a, ws, self.stacked_spec)
-        z = z.reshape(x.shape[0], self.n, -1, *z.shape[2:])  # (batch, N, O, Ho, Wo)
-        # z is kept for the magnitude gradient only: the output is z itself for
-        # N=1 with latent weights, and the block may add to it in place
-        self._cache = (x, a, ws, z if self.weights_binary else None) if grad else None
-        del a
-        if self.weights_binary:  # in place unless z is kept
-            z = np.multiply(z, self.beta[None, :, :, None, None], out=None if grad else z)
-        return branch_sum(z)
+            fz_new = {"x0": x.copy(), "w0": self.w.copy(), "a": [], "ws": [], "mask_x": [], "mask_w": []}
+        level = x.dtype if grad else np.int8  # exact int8 levels where no gradient reads them
+        y, kept = None, []
+        for i in range(self.n):
+            if fz is None:
+                a = (x >= self.thr[i, :, None, None]).astype(level) * 2 - 1
+                ws = (self.w[i] >= 0).astype(self.w.dtype) * 2 - 1 if self.weights_binary else self.w[i]
+            else:  # value + clip_mask * (arg - arg_at_capture)
+                a = (x - fz["x0"]) * fz["mask_x"][i]
+                a += fz["a"][i]
+                ws = (self.w[i] - fz["w0"][i]) * fz["mask_w"][i]
+                ws += fz["ws"][i]
+            if self.freeze_mode == "capture":
+                for key, v in zip(("a", "ws", "mask_x", "mask_w"), (a, ws, *self._clip_masks(x, i))):
+                    fz_new[key].append(v)
+            z = conv_float(a, ws, self.spec)
+            # z is kept for the magnitude gradient only: with latent weights the
+            # output is branch 0's z itself, and the block may add to it in place
+            if grad:
+                kept.append((a, ws, z if self.weights_binary else None))
+            if self.weights_binary:  # in place unless z is kept
+                z = np.multiply(z, self.beta[i, :, None, None], out=None if grad else z)
+            y = z if y is None else np.add(y, z, out=y)
+        if self.freeze_mode == "capture":
+            self._frozen = fz_new
+        self._cache = (x, kept) if grad else None
+        return y
 
     def backward(self, gy, input_grad=True):
         """The input gradient, or None without input_grad (the parameter gradients only)."""
-        x, a, ws, z = _take(self)
+        x, kept = _take(self)
         fz = self._frozen if self.freeze_mode == "use" else None
-        mask_x, mask_w = self._clip_masks(x) if fz is None else (fz["mask_x"], fz["mask_w"])
-        if self.weights_binary:
-            self.gbeta += np.einsum("nohw,nkohw->ko", gy, z)
-            gz = gy[:, None] * self.beta[None, :, :, None, None]
-        else:
-            gz = np.broadcast_to(gy[:, None], (gy.shape[0], self.n, *gy.shape[1:]))
-        gz = gz.reshape(a.shape[0], -1, *gy.shape[2:])
-        gws = conv_float_grad_weight(a, gz, self.stacked_spec)
-        if self.weights_binary:
-            gws *= mask_w
-        self.gw += gws.reshape(self.gw.shape)
-        ga = conv_float_grad_input(gz, ws, self.stacked_spec, a.shape[2:]).reshape(mask_x.shape)
-        ga *= mask_x
-        self.gthr -= ga.sum(axis=(0, 3, 4))
-        return branch_sum(ga) if input_grad else None
+        gx = None
+        for i, (a, ws, z) in enumerate(kept):
+            mask_x, mask_w = self._clip_masks(x, i) if fz is None else (fz["mask_x"][i], fz["mask_w"][i])
+            if self.weights_binary:
+                self.gbeta[i] += np.einsum("nohw,nohw->o", gy, z)
+                gz = gy * self.beta[i, :, None, None]
+            else:
+                gz = gy
+            gws = conv_float_grad_weight(a, gz, self.spec)
+            if self.weights_binary:
+                gws *= mask_w
+            self.gw[i] += gws
+            ga = conv_float_grad_input(gz, ws, self.spec, x.shape[2:])
+            ga *= mask_x
+            self.gthr[i] -= ga.sum(axis=(0, 2, 3))
+            gx = ga if gx is None else np.add(gx, ga, out=gx)
+        return gx if input_grad else None
 
     def post_step(self):
         """Keep branch thresholds sorted per channel by permuting whole branches.
@@ -547,8 +549,9 @@ class ModelConfig:
             raise ValueError("n_convs, classes, input_shape and stages must hold integers")
         if not 1 <= self.n_convs <= 4:
             raise ValueError("n_convs must be in [1, 4]")
-        if self.width_multiplier <= 0:
-            raise ValueError("width_multiplier must be > 0")
+        w = self.width_multiplier
+        if isinstance(w, bool) or not isinstance(w, numbers.Real) or not 0 < w < np.inf:  # NaN fails too
+            raise ValueError(f"width_multiplier must be a finite real > 0, got {w!r}")
         if self.classes < 2:
             raise ValueError("classes must be >= 2")
         if min(self.input_shape) < 1:

@@ -1,5 +1,6 @@
 import csv
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,16 @@ class TestCondition:
             errs.append(float(row["approx_abs_error"]))
         # approximation error shrinks as alpha grows
         assert errs[-1] < errs[0]
+
+    @pytest.mark.parametrize("flag,value", [("--alpha-min", "0"), ("--alpha-min", "-1"),
+                                            ("--alpha-max", "0"), ("--alpha-max", "-0.5")])
+    def test_non_positive_alpha_exits_2(self, tmp_path, capsys, flag, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before numpy sees it
+            assert run(["--out", tmp_path / "out", "condition", flag, value, "--include-zero"]) == 2
+        assert capsys.readouterr().err == (f"error: {flag} must be > 0, got {float(value):g} "
+                                           "(--include-zero adds alpha = 0)\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrain:

@@ -423,10 +423,11 @@ def per_branch_capture(layer, x0):
 
 
 def per_branch_pass(layer, x, gy, fz=None):
-    """Forward and backward with one float conv per branch: the live
-    straight-through formulas, or with fz the frozen affine surrogate
-    a + mask_x * (x - x0), ws + mask_w * (w - w0). Returns
-    (y, gx, gw, gbeta, gthr), the last three per branch."""
+    """Forward and backward written out from the formulas, one float conv
+    per branch on float +/-1 levels: the live straight-through estimator,
+    or with fz the frozen affine surrogate a + mask_x * (x - x0),
+    ws + mask_w * (w - w0). Returns (y, gx, gw, gbeta, gthr), the last
+    three per branch."""
     spec, binary = layer.spec, layer.weights_binary
     y = gx = None
     gw, gbeta, gthr = [], [], []
@@ -496,9 +497,9 @@ def make_layer(n, kind, stride, dtype, seed=0):
 
 
 class TestSingleQuantizerPath:
-    """MultiBinaryConv runs every branch in one float conv, with one forward
-    and backward for the live, capture and use modes; each must equal the
-    per-branch formulas it replaced."""
+    """MultiBinaryConv has one float forward and one backward for the live,
+    capture and use modes, with and without grad: each runs the branches
+    one at a time and must equal the per-branch formulas written out here."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("binary", [True, False])
@@ -506,7 +507,10 @@ class TestSingleQuantizerPath:
     def test_live_matches_per_branch(self, n, kind, stride, binary, dtype):
         layer, x, gy = make_layer(n, kind, stride, dtype)
         layer.weights_binary = binary
-        assert_matches_per_branch(layer_pass(layer, x, gy), per_branch_pass(layer, x, gy), dtype)
+        want = per_branch_pass(layer, x, gy)
+        assert_matches_per_branch(layer_pass(layer, x, gy), want, dtype)
+        y = layer.forward(x)  # the eval forward, on int8 levels
+        assert y.dtype == dtype and np.array_equal(y, want[0])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n,kind,stride", LAYER_CASES)
@@ -517,15 +521,19 @@ class TestSingleQuantizerPath:
         layer.freeze_mode = "capture"
         assert_matches_per_branch(layer_pass(layer, x0, gy), live, dtype)
         # the clip masks are captured as 0.0/1.0 in the net dtype, not as bools
-        for key, want in (("mask_x", np.stack(fz["mask_x"], axis=1)), ("mask_w", np.concatenate(fz["mask_w"]))):
-            assert layer._frozen[key].dtype == dtype and np.array_equal(layer._frozen[key], want), key
+        for key in ("mask_x", "mask_w"):
+            for got, want in zip(layer._frozen[key], fz[key], strict=True):
+                assert got.dtype == dtype and np.array_equal(got, want), key
         # move input and weights off the capture point, across the clip edges
         rng = np.random.default_rng(n)
         x = (x0 + 0.3 * rng.standard_normal(x0.shape)).astype(dtype)
         for w in layer.w:
             w += (0.3 * rng.standard_normal(w.shape)).astype(dtype)
         layer.freeze_mode = "use"
-        assert_matches_per_branch(layer_pass(layer, x, gy), per_branch_pass(layer, x, gy, fz), dtype)
+        want = per_branch_pass(layer, x, gy, fz)
+        assert_matches_per_branch(layer_pass(layer, x, gy), want, dtype)
+        y = layer.forward(x)  # the use-mode eval forward
+        assert y.dtype == dtype and np.array_equal(y, want[0])
 
     def test_use_at_capture_point_is_live(self):
         net = M.build(ablation_config("prebn_dual", classes=3), seed=2, dtype=np.float64)
@@ -792,13 +800,14 @@ def arrays_in(value):
     return []
 
 
-# (layer, packed, grad, freeze_mode); "MultiBinaryConv1 latent" runs the latent weights
+# (layer, packed, grad, freeze_mode); a "latent" kind runs the latent weights. A binary
+# layer adds its branches into branch 0's conv output, so that output is the one to check
 ALIASING_CASES = (
     [(kind, False, grad, None) for kind in ("FloatConv dw", "FloatConv pw") for grad in (False, True)]
-    + [(kind, False, grad, mode) for kind in ("MultiBinaryConv1", "MultiBinaryConv2")
+    + [(kind, False, grad, mode) for kind in ("MultiBinaryConv1", "MultiBinaryConv2", "MultiBinaryConv4")
        for grad in (False, True) for mode in (None, "capture", "use")]
     + [(kind, True, False, None) for kind in ("MultiBinaryConv1", "MultiBinaryConv2")]
-    + [("MultiBinaryConv1 latent", False, True, None)]
+    + [(f"MultiBinaryConv{n} latent", False, True, None) for n in (1, 2)]
 )
 
 

@@ -132,6 +132,13 @@ class TestCheckpointLoad:
         with pytest.raises(M.CheckpointError, match="must hold integers"):
             M.load(_with_manifest(m))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True])
+    def test_non_finite_or_bool_width_rejected(self, value):
+        m = json.loads(json.dumps(MANIFEST))
+        m["config"]["width_multiplier"] = value
+        with pytest.raises(M.CheckpointError, match="width_multiplier must be a finite real > 0"):
+            M.load(_with_manifest(m))
+
     @pytest.mark.parametrize("shape", [[0, 6, 6], [1, -3, 6]])
     def test_non_positive_input_shape_rejected(self, shape):
         m = json.loads(json.dumps(MANIFEST))
